@@ -2,13 +2,16 @@
 
 Topology construction dominates per-replication cost in the Monte-Carlo
 sweeps (the broadcast itself touches far fewer node pairs), so the
-grid-bucket CSR builder is the component worth watching.
+band-sweep CSR builder is the component worth watching: once per run
+(``build_disk_graph_csr``, behind ``Topology``) and once per 32-run
+block (``build_disk_graph_csr_stacked``, behind ``StackedTopology``).
+Both builder cases carry absolute seed baselines in ``BENCH_perf.json``.
 """
 
 import numpy as np
 
-from repro.network.deployment import DiskDeployment
-from repro.network.topology import build_disk_graph_csr
+from repro.network.deployment import DeploymentBatch, DiskDeployment
+from repro.network.topology import build_disk_graph_csr, build_disk_graph_csr_stacked
 
 
 def _positions(n, rng):
@@ -29,6 +32,19 @@ def test_csr_build_3500_nodes(benchmark):
     assert len(indptr) == 3501
     # Sanity: mean degree ~ rho = delta * pi * r^2 = 3500/(pi*25) * pi = 140.
     assert 100 < len(indices) / 3500 < 180
+
+
+def test_csr_build_stacked_32_reps_rho140(benchmark):
+    """One block of the batched engine: 32 stacked rho=140 fields."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(4).spawn(32)]
+    batch = DeploymentBatch.sample(rho=140, n_rings=5, rngs=rngs)
+    indptr, indices = benchmark(
+        lambda: build_disk_graph_csr_stacked(
+            batch.positions, batch.node_offsets, batch.radius
+        )
+    )
+    assert len(indptr) == batch.n_nodes_total + 1 == 32 * 3501 + 1
+    assert 100 < len(indices) / len(batch.positions) < 180
 
 
 def test_deployment_sample_dense(benchmark):

@@ -11,9 +11,9 @@ writes into ``--out``:
 * ``manifest.json``    — the sweep's provenance manifest,
 * ``report.md``        — the fused ``repro-report`` output (also printed).
 
-The script asserts the PR's acceptance bar before exiting: the recorded
+The script asserts the acceptance bar before exiting: the recorded
 span tree must account for >=90% of the measured wall time, with store,
-engine, and runner phases attributed.  CI runs this and uploads
+engine, runner and (cold) network phases attributed.  CI runs this and uploads
 ``trace.json`` as a workflow artifact, so every build leaves behind an
 openable picture of where the sweep's seconds went.
 
@@ -86,8 +86,11 @@ def profile_sweep(out: Path, store: Path, *, warm: bool = False) -> int:
     if coverage < 0.9:
         print(f"FAIL: span tree covers {coverage:.1%} of wall time (< 90%)")
         ok = False
-    # A warm replay never reaches the engine (every task is a cache hit).
-    required = {"runner", "store"} if warm else {"runner", "store", "engine"}
+    # A warm replay never reaches the engine or builds a topology (every
+    # task is a cache hit).
+    required = {"runner", "store"}
+    if not warm:
+        required |= {"engine", "network"}
     if not required <= cats:
         print(f"FAIL: missing span categories {sorted(required - cats)}")
         ok = False

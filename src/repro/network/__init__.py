@@ -3,8 +3,9 @@
 Implements the deployment half of the abstract network model: uniform
 random placement on a disk (Sec. 4, "uniform deployment of N nodes in a
 circle of radius P*r" with the source at the center) and the symmetric
-unit-disk communication graph of assumptions 1–2, built with a
-grid-bucket spatial index so construction is linear in the node count.
+unit-disk communication graph of assumptions 1–2, built by a band sweep
+over the points sorted once by (``r/2``-high band, ``x``), so the work
+beyond that sort is linear in the edge count.
 """
 
 from repro.network.deployment import DiskDeployment

@@ -47,6 +47,10 @@ class DiskDeployment:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must be (n >= 1, 2), got {pos.shape}")
+        # NaN compares False against the field radius below, so it
+        # would slip through that check.
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite (no NaN or inf)")
         if not np.allclose(pos[SOURCE], 0.0):
             raise ValueError("node 0 must be the source at the origin")
         check_positive("radius", self.radius)

@@ -3,12 +3,16 @@
 The communication graph of assumption 2 connects every pair of nodes
 within transmission radius ``r``.  For the vectorized engine we need the
 adjacency as flat CSR arrays (``indptr``/``indices``), and we need to
-build it fast for thousands of Monte-Carlo replications; a grid-bucket
-spatial index with cell size ``r`` reduces candidate pairs to the nine
-surrounding cells, and all distance work happens in per-cell-pair numpy
-blocks rather than per node.
+build it fast for thousands of Monte-Carlo replications.  One builder
+does it, a band sweep: the points are sorted once by (horizontal band
+of height ``r/2``, ``x``), so a point's possible partners in its own
+band and in each of the next two are one contiguous run of the sorted
+order, which ``searchsorted`` finds on an ``x``-window narrowed to
+``sqrt(r^2 - gap^2)`` for that band's vertical gap.  All distance work
+happens on flat candidate-pair arrays, one per band offset (~1.3
+candidates per edge); there is no Python loop over points or cells.
 
-The same machinery builds the ``carrier_radius`` graph of Appendix A on
+The same builder gives the ``carrier_radius`` graph of Appendix A on
 demand (neighbors within carrier-sense range but *also* within it —
 the carrier graph includes the transmission graph; CAM code subtracts
 as needed).
@@ -18,15 +22,15 @@ For replication-batched Monte-Carlo, :class:`StackedTopology` stores
 renumbered nodes (replication ``r`` owns ids
 ``[node_offsets[r], node_offsets[r+1])``), so a single gather/bincount
 pass serves every replication's slot at once.  Its builder
-(:func:`build_disk_graph_csr_stacked`) folds the replication index into
-the grid-cell key and generates candidate pairs with sorted-key
-``searchsorted`` runs instead of a Python loop over cells — one
-vectorized pass over all ``R`` point sets, with cross-replication edges
-impossible by construction.
+(:func:`build_disk_graph_csr_stacked`) runs the band sweep on one
+replication at a time and splices the blocks together with their
+global id offsets, so cross-replication edges are impossible by
+construction.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -41,21 +45,137 @@ __all__ = [
 ]
 
 
-def _grid_cells(positions: np.ndarray, cell: float) -> tuple[np.ndarray, dict]:
-    """Assign each point to a grid cell; return cell keys and an index map."""
-    ij = np.floor(positions / cell).astype(np.int64)
-    ij -= ij.min(axis=0, keepdims=True)
-    width = int(ij[:, 0].max()) + 2 if len(ij) else 1
-    keys = ij[:, 0] + ij[:, 1] * width
-    buckets: dict[int, np.ndarray] = {}
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    bounds = np.flatnonzero(np.diff(sorted_keys)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(keys)]))
-    for s, e in zip(starts, ends, strict=True):
-        buckets[int(sorted_keys[s])] = order[s:e]
-    return keys, {"buckets": buckets, "width": width}
+#: Band height as a fraction of the search reach.  Bands of half a
+#: radius put a point's partners in its own band and the next two, and
+#: narrowing each band's x-window to its vertical gap leaves ~1.3
+#: candidate pairs per edge.
+_BAND = 0.5
+
+#: Padding of the search reach, relative to the radius plus the largest
+#: coordinate magnitude.  It dwarfs the few-ulp rounding of the shifted
+#: coordinates, band floors, sort keys and window bounds, so every pair
+#: the edge predicate accepts is a candidate; it only adds candidates,
+#: never edges.
+_SLACK = 1e-12
+
+
+def _as_positions(positions: np.ndarray) -> np.ndarray:
+    """``positions`` as a finite float ``(n, 2)`` array, else ValueError."""
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError(f"positions must be (n, 2), got {positions.shape}")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite (no NaN or inf)")
+    return positions
+
+
+def _build_field_csr(
+    positions: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One field's CSR adjacency by a band sweep (``n >= 1`` points).
+
+    Edges are the pairs with ``dx*dx + dy*dy <= radius*radius`` in the
+    input coordinates; rows and columns are input ids and each row's
+    neighbors are ascending.  ``indices`` is int32 while the packed
+    ``row << shift | col`` edge keys fit (fields below 32 768 points),
+    int64 beyond.
+
+    Points are sorted once by the float key ``band * width + x``, with
+    ``x``/``y`` taken from the field's lower-left corner, band
+    ``floor(y / h)`` for ``h = _BAND * reach`` (``reach`` is the radius
+    plus the rounding slack) and ``width`` a power of two of at least
+    twice the x-extent plus four reaches: ``band * width`` is exact, and
+    each band is one x-sorted run that no query aimed at another band
+    can reach.  A point's partners lie in its own band (later points
+    only, so each pair is met once) and the next two; in band ``b + d``
+    they are the run within ``sqrt(reach**2 - gap**2)`` of its ``x``,
+    ``gap`` being the least vertical distance to that band, and
+    ``searchsorted`` finds the run's ends.  Each of the three band
+    offsets is one pass that expands every point's run into flat
+    candidate pairs: the a-side coordinates stream out of ``np.repeat``,
+    the b-side ones are gathered, and the float predicate picks the
+    edges.  Accepted pairs are packed into both directed keys and
+    value-sorted, which orders the rows and each row's columns at once
+    (each directed edge is unique, so its key is too).
+    """
+    n = positions.shape[0]
+    x = positions[:, 0]
+    y = positions[:, 1]
+    x0, x1 = float(x.min()), float(x.max())
+    y0, y1 = float(y.min()), float(y.max())
+    slack = _SLACK * (radius + max(-x0, x1, -y0, y1))
+    reach = radius + slack
+    h = _BAND * reach
+    width = 2.0 ** math.ceil(math.log2(2.0 * (x1 - x0) + 4.0 * reach))
+    xs = x - x0
+    band = np.floor((y - y0) / h)
+    base = band * width
+    keys = base + xs
+    order = np.argsort(keys)
+    skeys = keys[order]
+    sxs = xs[order]
+    sbase = base[order]
+    sx = x[order]
+    sy = y[order]
+    # gap0 + d * h is the vertical gap from each point up to the bottom
+    # of band b + d, less the slack: a lower bound for any partner there.
+    gap0 = band[order] * h - (sy - y0) - slack
+
+    # int32 ids and keys halve the traffic of the edge sort that
+    # dominates CSR assembly.
+    shift = n.bit_length()
+    key_dtype = np.int32 if n << shift <= np.iinfo(np.int32).max else np.int64
+    ids = order.astype(key_dtype)
+    r2 = radius * radius
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    for d in (0, 1, 2):
+        if d == 0:
+            first = np.arange(1, n + 1)
+            last = np.searchsorted(skeys, sbase + (sxs + reach), side="right")
+        else:
+            # Half-width of the x-window into band b + d, in place.
+            w = gap0 + d * h
+            np.maximum(w, 0.0, out=w)
+            w *= w
+            np.subtract(reach * reach, w, out=w)
+            np.maximum(w, 0.0, out=w)
+            np.sqrt(w, out=w)
+            target = sbase + d * width
+            first = np.searchsorted(skeys, target + (sxs - w), side="left")
+            last = np.searchsorted(skeys, target + (sxs + w), side="right")
+        runs = last - first
+        # b-side sorted positions: the ranges [first, last) concatenated.
+        b = np.arange(int(runs.sum()))
+        b += np.repeat(first - (np.cumsum(runs) - runs), runs)
+        d2 = np.repeat(sx, runs)
+        d2 -= sx[b]
+        dy = np.repeat(sy, runs)
+        dy -= sy[b]
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        hit = d2 <= r2
+        # Free the float temporaries now, not at return, so they are not
+        # resident through the id selection and the edge sort.
+        del d2, dy
+        src_parts.append(np.repeat(ids, runs)[hit])
+        dst_parts.append(ids[b[hit]])
+    src = np.concatenate(src_parts)
+    dst = np.concatenate(dst_parts)
+    m = len(src)
+    packed = np.empty(2 * m, dtype=key_dtype)
+    np.left_shift(src, shift, out=packed[:m])
+    packed[:m] |= dst
+    np.left_shift(dst, shift, out=packed[m:])
+    packed[m:] |= src
+    packed.sort()
+    # Row starts fall straight out of bisecting the sorted keys at each
+    # row's key range — no per-edge row decode needed.
+    row_keys = np.arange(n + 1, dtype=key_dtype) << shift
+    indptr = np.searchsorted(packed, row_keys).astype(np.int64)
+    packed &= (1 << shift) - 1
+    return indptr, packed
 
 
 def build_disk_graph_csr(
@@ -63,160 +183,17 @@ def build_disk_graph_csr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR adjacency (``indptr``, ``indices``) of the unit-disk graph.
 
-    Edges connect distinct points at Euclidean distance ``<= radius``;
-    the graph is symmetric and has no self-loops.  Each row's neighbor
-    list is sorted ascending.
+    Edges connect distinct points whose float64 ``dx*dx + dy*dy`` is
+    ``<= radius*radius``; the graph is symmetric and has no self-loops.
+    Each row's neighbor list is sorted ascending; both arrays are int64.
+    Non-finite positions raise ``ValueError``.
     """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise ValueError(f"positions must be (n, 2), got {positions.shape}")
+    positions = _as_positions(positions)
     radius = check_positive("radius", radius)
-    n = positions.shape[0]
-    if n == 0:
+    if positions.shape[0] == 0:
         return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-
-    keys, grid = _grid_cells(positions, radius)
-    buckets: dict[int, np.ndarray] = grid["buckets"]
-    width: int = grid["width"]
-    r2 = radius * radius
-
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    # Scan unordered cell pairs once: (0,0) same-cell plus 4 of the 8
-    # neighbor offsets; symmetry supplies the rest.
-    half_offsets = (0, (1, 0), (0, 1), (1, 1), (-1, 1))
-    for key, members in buckets.items():
-        pos_a = positions[members]
-        for off in half_offsets:
-            if off == 0:
-                # Same cell: strict upper-triangle pairs.
-                d2 = ((pos_a[:, None, :] - pos_a[None, :, :]) ** 2).sum(-1)
-                ii, jj = np.triu_indices(len(members), k=1)
-                hit = d2[ii, jj] <= r2
-                src_parts.append(members[ii[hit]])
-                dst_parts.append(members[jj[hit]])
-                continue
-            nb_key = key + off[0] + off[1] * width
-            other = buckets.get(nb_key)
-            if other is None:
-                continue
-            pos_b = positions[other]
-            d2 = ((pos_a[:, None, :] - pos_b[None, :, :]) ** 2).sum(-1)
-            ii, jj = np.nonzero(d2 <= r2)
-            src_parts.append(members[ii])
-            dst_parts.append(other[jj])
-
-    if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-    # Symmetrize and build CSR.
-    rows = np.concatenate((src, dst))
-    cols = np.concatenate((dst, src))
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    indptr, cols = _build_field_csr(positions, radius)
     return indptr, cols.astype(np.int64)
-
-
-def _flat_runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate integer ranges ``[first[i], first[i] + lengths[i])``.
-
-    The cumsum-of-unit-steps trick from the CAM gather kernel: cheaper
-    than ``repeat`` + ``arange`` per run, and fully vectorized.
-    ``lengths`` must be non-negative with a positive total.
-    """
-    nz = lengths > 0
-    s_nz = first[nz]
-    l_nz = lengths[nz]
-    total = int(l_nz.sum())
-    bounds = np.cumsum(l_nz)
-    steps = np.ones(total, dtype=np.int64)
-    steps[0] = s_nz[0]
-    ends = s_nz + l_nz
-    steps[bounds[:-1]] = s_nz[1:] - ends[:-1] + 1
-    return np.cumsum(steps)
-
-
-def _build_field_csr(
-    positions: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One field's CSR adjacency via offset-searchsorted candidate runs.
-
-    Same edge set and neighbor order as :func:`build_disk_graph_csr`,
-    but with no Python loop over grid cells: points are sorted by cell
-    key once, each of the five half-offsets resolves all its candidate
-    pairs with two ``searchsorted`` calls plus one flat-run expansion,
-    and the final CSR comes from an in-place value sort of packed
-    ``row * (n + 1) + col`` keys (each directed edge is unique, so the
-    packed keys are too, and sorting values beats argsort + gathers).
-    """
-    n = positions.shape[0]
-    ij = np.floor(positions / radius).astype(np.int64)
-    ij -= ij.min(axis=0, keepdims=True)
-    width = int(ij[:, 0].max()) + 2
-    keys = ij[:, 1] * width + ij[:, 0]
-    order = np.argsort(keys, kind="stable")
-    skeys = keys[order]
-    sx = np.ascontiguousarray(positions[order, 0])
-    sy = np.ascontiguousarray(positions[order, 1])
-    r2 = radius * radius
-    # Packed (row, col) edge keys fit in int32 for any field below ~46k
-    # nodes; the narrower dtype halves the traffic of the edge sort
-    # that dominates CSR assembly.
-    stride = n + 1
-    edge_dtype = (
-        np.int32 if stride * stride <= np.iinfo(np.int32).max else np.int64
-    )
-    order_ids = order.astype(edge_dtype)
-
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    # Unordered cell pairs once: same-cell plus 4 of the 8 neighbor
-    # offsets; symmetry supplies the rest (as in the per-run builder).
-    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)):
-        delta = dj * width + di
-        if delta == 0:
-            # Same cell: each point pairs with the strictly-later points
-            # of its own key run (the sorted-order triu).
-            first = np.arange(1, n + 1, dtype=np.int64)
-            right = np.searchsorted(skeys, skeys, side="right")
-        else:
-            target = skeys + delta
-            first = np.searchsorted(skeys, target, side="left")
-            right = np.searchsorted(skeys, target, side="right")
-        lengths = right - first
-        if int(lengths.sum()) == 0:
-            continue
-        a_idx = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        b_idx = _flat_runs(first, lengths)
-        dx = sx[a_idx] - sx[b_idx]
-        dy = sy[a_idx] - sy[b_idx]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        hit = dx <= r2
-        src_parts.append(order_ids[a_idx[hit]])
-        dst_parts.append(order_ids[b_idx[hit]])
-
-    if not src_parts:
-        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    packed = np.concatenate((src, dst)) * edge_dtype(stride)
-    packed += np.concatenate((dst, src))
-    packed.sort()
-    # Row starts fall straight out of bisecting the sorted packed keys
-    # at each row's key range — no per-edge row decode needed.
-    bounds = (np.arange(n + 1, dtype=np.int64) * stride).astype(edge_dtype)
-    indptr = np.searchsorted(packed, bounds).astype(np.int64)
-    cols = packed % edge_dtype(stride)
-    return indptr, cols
 
 
 def build_disk_graph_csr_stacked(
@@ -242,26 +219,35 @@ def build_disk_graph_csr_stacked(
         replication's block it is bit-identical to what
         :func:`build_disk_graph_csr` produces for that replication alone
         (same edges, neighbor lists sorted ascending); there are never
-        edges between replications.
+        edges between replications.  ``indices`` is int32 while the
+        global ids fit.
+
+    Raises
+    ------
+    ValueError
+        On non-finite positions, or ``node_offsets`` that are empty, do
+        not run from 0 to ``N`` or decrease.
 
     Notes
     -----
-    Each replication goes through :func:`_build_field_csr` — the
-    offset-searchsorted builder with no per-cell Python loop — and the
-    per-replication CSR blocks are spliced together with the global id
-    offsets applied.  Working one replication at a time is deliberate:
-    a single replication's candidate/edge arrays fit in cache, whereas
-    one flat pass over all ``R`` replications pushes every gather and
-    the final edge sort out to main memory and ends up slower than the
-    per-run builder it is meant to beat.
+    Each replication goes through the band sweep of
+    :func:`build_disk_graph_csr` and the per-replication CSR blocks are
+    spliced together with the global id offsets applied.  Working one
+    replication at a time is deliberate: a single replication's
+    candidate/edge arrays fit in cache, whereas one flat pass over all
+    ``R`` replications pushes every gather and the final edge sort out
+    to main memory and ends up slower than the per-run builder.
     """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise ValueError(f"positions must be (n, 2), got {positions.shape}")
+    positions = _as_positions(positions)
     radius = check_positive("radius", radius)
     node_offsets = np.asarray(node_offsets, dtype=np.int64)
     n = positions.shape[0]
-    if node_offsets.ndim != 1 or node_offsets[0] != 0 or node_offsets[-1] != n:
+    if (
+        node_offsets.ndim != 1
+        or node_offsets.size == 0
+        or node_offsets[0] != 0
+        or node_offsets[-1] != n
+    ):
         raise ValueError("node_offsets must run from 0 to len(positions)")
     if np.any(np.diff(node_offsets) < 0):
         raise ValueError("node_offsets must be non-decreasing")

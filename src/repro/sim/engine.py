@@ -92,10 +92,15 @@ def run_broadcast(
             rng=rng,
             population=config.population,
         )
+    # The channel is built inside the span: with carrier sense on it
+    # forces the carrier-radius graph, the second unit-disk build.
+    h_topo = begin("topology.build", "network") if begin is not None else None
     topology = deployment.topology(
         carrier_radius=config.analysis.carrier_radius if config.carrier_sense else None
     )
     channel = _build_channel(config, topology)
+    if h_topo is not None:
+        h_topo.end(nodes=topology.n_nodes, edges=topology.n_edges)
     if h_deploy is not None:
         h_deploy.end(nodes=topology.n_nodes)
     ctx = EngineContext(
@@ -389,10 +394,13 @@ def run_broadcast_batch(
         )
     else:
         batch = DeploymentBatch(list(deployments))
+    h_topo = begin("topology.build", "network") if begin is not None else None
     stacked = batch.stacked_topology(
         carrier_radius=config.analysis.carrier_radius if config.carrier_sense else None
     )
     channel = _build_batch_channel(config, stacked)
+    if h_topo is not None:
+        h_topo.end(nodes=stacked.n_nodes, edges=int(stacked.indptr[-1]) // 2)
     if h_deploy is not None:
         h_deploy.end(reps=n_reps, nodes=batch.n_nodes_total)
     offs = batch.node_offsets

@@ -4,22 +4,58 @@ Pins the layout contracts: a :class:`DeploymentBatch` draw is
 bit-identical to ``R`` independent per-run draws, the padded ``(R,
 n_max, 2)`` view is zero-padding over the flat layout, and every
 replication's slice of the stacked CSR equals the CSR a standalone
-:class:`Topology` would build for it.
+:class:`Topology` would build for it.  Since both entry points share one
+builder, the stacked CSR is also checked against an all-pairs brute
+force with the builder's own predicate, on random ragged stacks and on
+the geometries that sit on the band sweep's edges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.deployment import DeploymentBatch, DiskDeployment
 from repro.network.topology import (
     StackedTopology,
     Topology,
     build_disk_graph_csr,
+    build_disk_graph_csr_stacked,
 )
 
 SEED = 20050113
+
+
+def _brute_force_csr(positions, radius):
+    """All-pairs CSR with the builder's predicate ``dx*dx + dy*dy <= r*r``."""
+    pos = np.asarray(positions, dtype=float)
+    dx = pos[:, None, 0] - pos[None, :, 0]
+    dy = pos[:, None, 1] - pos[None, :, 1]
+    adj = dx * dx + dy * dy <= radius * radius
+    np.fill_diagonal(adj, False)
+    rows, cols = np.nonzero(adj)
+    indptr = np.zeros(len(pos) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(pos)), out=indptr[1:])
+    return indptr, cols
+
+
+def _assert_stacked_matches_brute_force(positions, node_offsets, radius):
+    indptr, indices = build_disk_graph_csr_stacked(positions, node_offsets, radius)
+    assert len(indptr) == node_offsets[-1] + 1
+    assert indptr[0] == 0 and indptr[-1] == len(indices)
+    for lo, hi in zip(node_offsets[:-1], node_offsets[1:], strict=True):
+        ref_indptr, ref_indices = _brute_force_csr(positions[lo:hi], radius)
+        e0 = indptr[lo]
+        assert np.array_equal(indptr[lo : hi + 1] - e0, ref_indptr)
+        assert np.array_equal(indices[e0 : indptr[hi]] - lo, ref_indices)
+    return indptr, indices
+
+
+def _stack(*fields):
+    offsets = np.concatenate(([0], np.cumsum([len(f) for f in fields])))
+    return np.concatenate(fields).reshape(-1, 2), offsets
 
 
 def _batch(n=5, *, population="fixed", rho=20.0):
@@ -179,3 +215,72 @@ class TestStackedTopology:
         ref = Topology(batch.deployments[0].positions, batch.radius)
         assert np.array_equal(stacked.indptr, ref.indptr)
         assert np.array_equal(stacked.indices, ref.indices)
+
+
+class TestStackedBruteForce:
+    @given(
+        counts=st.lists(st.integers(0, 40), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        lattice=st.booleans(),
+        radius=st.sampled_from([0.25, 0.7, 1.0, 1.3]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ragged_stacks(self, counts, seed, lattice, radius):
+        rng = np.random.default_rng(seed)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        pos = rng.uniform(-3.0, 3.0, size=(int(offsets[-1]), 2))
+        if lattice:
+            # A radius/2 lattice puts pairs at distance exactly r and
+            # points exactly on band edges.
+            pos = np.round(pos / (radius / 2)) * (radius / 2)
+        _assert_stacked_matches_brute_force(pos, offsets, radius)
+
+    @pytest.mark.parametrize("radius", [1.0, 0.5])
+    def test_lattice_at_spacing_radius(self, radius):
+        """Axial neighbors at exactly r stay linked; diagonals do not."""
+        k = 7
+        ticks = np.arange(k) * radius
+        xx, yy = np.meshgrid(ticks, ticks)
+        grid = np.column_stack((xx.ravel(), yy.ravel()))
+        pos, offsets = _stack(grid, grid + np.array([-3.0, 11.0]) * radius)
+        indptr, indices = _assert_stacked_matches_brute_force(pos, offsets, radius)
+        assert len(indices) == 2 * 4 * k * (k - 1)  # two lattices, axial only
+        assert list(indices[indptr[0] : indptr[1]]) == [1, k]
+
+    def test_horizontal_line(self, rng):
+        line = np.column_stack((rng.uniform(0, 12, 80), np.full(80, 0.3)))
+        _assert_stacked_matches_brute_force(*_stack(line, line[::-1]), 1.0)
+
+    def test_vertical_line(self, rng):
+        line = np.column_stack((np.full(80, -2.0), rng.uniform(0, 12, 80)))
+        _assert_stacked_matches_brute_force(*_stack(line, line[::-1]), 1.0)
+
+    def test_coincident_points(self):
+        pos, offsets = _stack(np.full((6, 2), 1.5), np.zeros((4, 2)))
+        _, indices = _assert_stacked_matches_brute_force(pos, offsets, 1.0)
+        assert len(indices) == 6 * 5 + 4 * 3  # two complete graphs
+
+    def test_source_only_replication_between_full_ones(self):
+        full = [_batch(2).deployments[r].positions for r in range(2)]
+        pos, offsets = _stack(full[0], np.zeros((1, 2)), full[1])
+        indptr, _ = _assert_stacked_matches_brute_force(pos, offsets, 1.0)
+        lone = int(offsets[1])
+        assert indptr[lone] == indptr[lone + 1]
+
+    def test_field_far_from_origin(self, rng):
+        far = np.array([1e6, -2e6])
+        fields = [rng.uniform(0, 3, size=(60, 2)) + far for _ in range(2)]
+        _assert_stacked_matches_brute_force(*_stack(*fields), 1.0)
+
+
+class TestBuilderValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        pos = np.zeros((4, 2))
+        pos[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build_disk_graph_csr_stacked(pos, np.array([0, 2, 4]), 1.0)
+
+    def test_empty_node_offsets_rejected(self):
+        with pytest.raises(ValueError, match="node_offsets"):
+            build_disk_graph_csr_stacked(np.zeros((0, 2)), np.array([]), 1.0)

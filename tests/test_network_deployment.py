@@ -61,6 +61,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             DiskDeployment(positions=pos, radius=1.0, n_rings=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        pos = np.array([[0.0, 0.0], [0.5, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            DiskDeployment(positions=pos, radius=1.0, n_rings=2)
+
     def test_positions_read_only(self, rng):
         dep = DiskDeployment.sample(rho=10, n_rings=2, rng=rng)
         with pytest.raises(ValueError):

@@ -78,6 +78,33 @@ class TestCsrConstruction:
         with pytest.raises(ValueError):
             build_disk_graph_csr(np.zeros((5, 3)), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        pos = np.zeros((3, 2))
+        pos[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build_disk_graph_csr(pos, 1.0)
+
+    def test_int64_keys_beyond_32k_points(self, rng):
+        """Past 32 767 points the packed edge keys switch to int64."""
+        k = 10
+        ticks = np.arange(58) * 10.0
+        centers = np.stack(np.meshgrid(ticks, ticks), -1).reshape(-1, 2)
+        pos = np.repeat(centers, k, axis=0)
+        pos += rng.uniform(-0.6, 0.6, size=pos.shape)
+        n = len(pos)
+        assert n > 32767
+        indptr, indices = build_disk_graph_csr(pos, 1.0)
+        # Clusters sit 10 apart, so the graph is block-diagonal.
+        blocks = pos.reshape(-1, k, 2)
+        dx = blocks[:, :, None, 0] - blocks[:, None, :, 0]
+        dy = blocks[:, :, None, 1] - blocks[:, None, :, 1]
+        adj = dx * dx + dy * dy <= 1.0
+        adj[:, np.arange(k), np.arange(k)] = False
+        c, i, j = np.nonzero(adj)
+        assert np.array_equal(np.diff(indptr), np.bincount(c * k + i, minlength=n))
+        assert np.array_equal(indices, c * k + j)
+
     @given(n=st.integers(min_value=2, max_value=60), r=st.floats(0.2, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_property_matches_brute_force(self, n, r):

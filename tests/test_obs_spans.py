@@ -10,7 +10,7 @@ from repro.analysis.config import AnalysisConfig
 from repro.obs import spans
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import run_broadcast
+from repro.sim.engine import run_broadcast, run_broadcast_batch
 from repro.sim.runner import replicate, sweep_grid
 from tests.test_obs_neutrality import assert_identical
 
@@ -211,7 +211,7 @@ class TestInstrumentation:
             assert node is root
         # The layers the report attributes time to are all present.
         cats = {s.cat for s in buf.spans}
-        assert {"runner", "store", "engine"} <= cats
+        assert {"runner", "store", "engine", "network"} <= cats
 
     def test_engine_run_spans_and_counters(self):
         with spans.capture_spans() as buf:
@@ -222,6 +222,28 @@ class TestInstrumentation:
         assert run_span.counters["collisions"] == float(result.collisions)
         (deploy,) = buf.named("engine.deploy")
         assert deploy.counters["nodes"] > 0
+        (build,) = buf.named("topology.build")
+        assert build.cat == "network"
+        assert build.parent_id == deploy.span_id
+        assert build.counters["nodes"] == deploy.counters["nodes"]
+        assert build.counters["edges"] > 0
+
+    def test_batched_topology_build_span(self):
+        seeds = [SEED + i for i in range(3)]
+        with spans.capture_spans() as buf:
+            run_broadcast_batch(ProbabilisticRelay(0.6), CFG, seeds)
+        (deploy,) = buf.named("engine.deploy_batch")
+        (build,) = buf.named("topology.build")
+        assert build.cat == "network"
+        assert build.parent_id == deploy.span_id
+        # Counters describe the whole stacked graph: the per-run
+        # topologies' node and link counts summed.
+        with spans.capture_spans() as per_run:
+            for s in seeds:
+                run_broadcast(ProbabilisticRelay(0.6), CFG, s)
+        singles = per_run.named("topology.build")
+        for key in ("nodes", "edges"):
+            assert build.counters[key] == sum(s.counters[key] for s in singles)
 
     def test_warm_store_lookup_counters(self, tmp_path):
         store = tmp_path / "store"
