@@ -1,14 +1,13 @@
-"""Replication-batched engine vs per-run loop.
+"""One 32-replication block vs 32 blocks of one.
 
-The batched engine's reason to exist: a 32-replication block pays for
-one stacked topology build and one channel-resolution pass per slot
-instead of 32, so the block must beat 32 sequential
-:func:`~repro.sim.engine.run_broadcast` calls by a wide margin (the
-acceptance bar is 3x at flooding rho=140).  Timings land in
-``BENCH_perf.json`` via ``--perf-json``; the per-run seed floor for
-this scenario is recorded there as
-``bench_perf_obs.py::test_tracing_disabled_flooding_rho140``
-(0.117 s/run at the time the batched path was added).
+The engine has one slot loop; :func:`~repro.sim.engine.run_broadcast`
+is a block of one.  A 32-replication block pays for one stacked
+topology build and one channel-resolution pass per slot instead of 32,
+so the ``per_run`` cases here time 32 sequential blocks of one and the
+``batched`` cases one block of 32.  Timings land in ``BENCH_perf.json``
+via ``--perf-json``; the ``baseline:`` aliases there keep each block of
+32 within the tolerance of its 32 blocks of one.  A single block of one
+is also timed as ``bench_perf_obs.py::test_tracing_disabled_flooding_rho140``.
 """
 
 import numpy as np

@@ -9,8 +9,10 @@ The resolution is fully vectorized: the CSR neighbor slices of all
 transmitters are gathered with a single fancy index, per-receiver
 transmitter counts are accumulated with one ``np.bincount``, and the
 unique sender of each count==1 receiver is recovered from a parallel
-id-sum ``np.bincount`` (the sum of one sender id is the sender id).  A
-loop-based reference implementation is kept for the equivalence tests.
+id-sum ``np.bincount`` (the sum of one sender id is the sender id).  It
+runs unchanged over one deployment's CSR or over a stacked CSR of many
+replications.  A loop-based reference implementation is kept for the
+equivalence tests.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ import numpy as np
 from repro.models.channel import Channel, Delivery, gather_neighbors
 from repro.network.topology import StackedTopology, Topology
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-from repro.obs.events import ChannelDelivery
 
-__all__ = ["CollisionAwareChannel", "BatchCollisionAwareChannel", "counts_and_senders"]
+__all__ = ["CollisionAwareChannel", "counts_and_senders"]
 
 
 def counts_and_senders(
@@ -53,17 +53,24 @@ def counts_and_senders(
 class CollisionAwareChannel(Channel):
     """Concurrent in-range transmissions collide at their common receivers.
 
+    Over a :class:`~repro.network.topology.StackedTopology` one
+    :func:`counts_and_senders` pass resolves every replication's slot at
+    once: node ids are disjoint across replications, so the global
+    bincount decomposes exactly into ``R`` independent resolutions.
+
     Parameters
     ----------
     topology:
-        The deployment graph.
+        The deployment graph, or a stacked graph of several.
     carrier_sense:
         If true, a slot additionally fails at a receiver when any node
         in the carrier-sense annulus (within ``topology.carrier_radius``
         but beyond the transmission radius) transmits in it.
     """
 
-    def __init__(self, topology: Topology, *, carrier_sense: bool = False) -> None:
+    def __init__(
+        self, topology: Topology | StackedTopology, *, carrier_sense: bool = False
+    ) -> None:
         super().__init__(topology)
         self.carrier_sense = carrier_sense
         if carrier_sense:
@@ -116,73 +123,8 @@ class CollisionAwareChannel(Channel):
             reg.counter("cam.slots").inc()
 
         receivers = np.flatnonzero(ok).astype(np.int64)
-        collided = np.flatnonzero(counts >= 2).astype(np.int64)
-        tracer = obs_trace.get_tracer()
-        emit = tracer.emit if tracer.enabled else None
-        if emit is not None:
-            emit(
-                ChannelDelivery(
-                    model="cam",
-                    n_tx=int(tx.size),
-                    n_rx=int(receivers.size),
-                    n_collided=int(collided.size),
-                )
-            )
         return Delivery(
             receivers=receivers,
             senders=id_sum[receivers],
-            collided=collided,
-        )
-
-
-class BatchCollisionAwareChannel:
-    """CAM over a :class:`~repro.network.topology.StackedTopology`.
-
-    One :func:`counts_and_senders` pass over the stacked sender list
-    resolves every replication's slot at once: node ids are globally
-    disjoint across replications, so the global bincount decomposes
-    exactly into ``R`` independent per-replication resolutions — the
-    delivery is bit-identical to concatenating ``R`` per-run
-    :class:`CollisionAwareChannel` deliveries (all ids global).
-
-    No trace events are emitted here: the runner routes traced work to
-    the per-run engine, and a direct batched call under an enabled
-    tracer would otherwise interleave ``R`` replications in one stream.
-    """
-
-    def __init__(self, topology: StackedTopology, *, carrier_sense: bool = False) -> None:
-        self.topology = topology
-        self.carrier_sense = carrier_sense
-        if carrier_sense:
-            # Force construction now so the first slot isn't oddly slow.
-            topology.carrier_csr()
-
-    def resolve_slot(self, transmitters: np.ndarray) -> Delivery:
-        """Resolve one slot for all replications (global node ids)."""
-        tx = np.unique(np.asarray(transmitters, dtype=np.intp))
-        empty = np.zeros(0, dtype=np.int64)
-        if tx.size == 0:
-            return Delivery(receivers=empty, senders=empty.copy(), collided=empty.copy())
-
-        reg = obs_metrics.registry()
-        t0 = time.perf_counter() if reg.enabled else 0.0
-        n = self.topology.n_nodes
-        counts, id_sum = counts_and_senders(
-            tx, self.topology.indptr, self.topology.indices, n
-        )
-        ok = counts == 1
-        if self.carrier_sense:
-            c_indptr, c_indices = self.topology.carrier_csr()
-            c_counts, _ = counts_and_senders(tx, c_indptr, c_indices, n)
-            ok &= c_counts == 1
-        if reg.enabled:
-            reg.timer("cam.gather").add(time.perf_counter() - t0)
-            reg.counter("cam.slots").inc()
-
-        receivers = np.flatnonzero(ok).astype(np.int64)
-        collided = np.flatnonzero(counts >= 2).astype(np.int64)
-        return Delivery(
-            receivers=receivers,
-            senders=id_sum[receivers],
-            collided=collided,
+            collided=np.flatnonzero(counts >= 2).astype(np.int64),
         )

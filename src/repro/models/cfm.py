@@ -12,11 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.channel import Channel, Delivery, gather_neighbors
-from repro.network.topology import StackedTopology
-from repro.obs import trace as obs_trace
-from repro.obs.events import ChannelDelivery
 
-__all__ = ["CollisionFreeChannel", "BatchCollisionFreeChannel"]
+__all__ = ["CollisionFreeChannel"]
 
 
 class CollisionFreeChannel(Channel):
@@ -26,59 +23,13 @@ class CollisionFreeChannel(Channel):
     gets *a* packet from each of them in the model's semantics; since
     the broadcast protocols only care about the information (identical
     across senders), the delivery reports the lowest-id sender for
-    determinism.
+    determinism.  That tie-break is an elementwise minimum over each
+    receiver's transmitting neighbors, so one ``np.minimum.at`` scatter
+    over the neighbor gather resolves the slot — over a stacked CSR,
+    every replication's slot at once.
     """
 
     def resolve_slot(self, transmitters: np.ndarray) -> Delivery:
-        tx = np.unique(np.asarray(transmitters, dtype=np.intp))
-        if tx.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return Delivery(receivers=empty, senders=empty.copy(), collided=empty.copy())
-        indptr, indices = self.topology.indptr, self.topology.indices
-        n = self.topology.n_nodes
-        # Lowest transmitter id wins ties: scan transmitters in descending
-        # order so earlier (smaller) ids overwrite later ones.
-        sender_of = np.full(n, -1, dtype=np.int64)
-        for t in tx[::-1]:
-            sender_of[indices[indptr[t] : indptr[t + 1]]] = t
-        receivers = np.flatnonzero(sender_of >= 0).astype(np.int64)
-        tracer = obs_trace.get_tracer()
-        emit = tracer.emit if tracer.enabled else None
-        if emit is not None:
-            emit(
-                ChannelDelivery(
-                    model="cfm",
-                    n_tx=int(tx.size),
-                    n_rx=int(receivers.size),
-                    n_collided=0,
-                )
-            )
-        return Delivery(
-            receivers=receivers,
-            senders=sender_of[receivers],
-            collided=np.zeros(0, dtype=np.int64),
-        )
-
-
-class BatchCollisionFreeChannel:
-    """CFM over a :class:`~repro.network.topology.StackedTopology`.
-
-    The per-run channel's lowest-id-wins tie-break is an elementwise
-    minimum over each receiver's transmitting neighbors, so one
-    ``np.minimum.at`` scatter over the stacked neighbor gather resolves
-    every replication's slot at once.  Node ids are globally disjoint
-    across replications, making the result bit-identical to ``R``
-    per-run :class:`CollisionFreeChannel` resolutions (all ids global).
-
-    Like the batched CAM channel, this emits no trace events — traced
-    work goes through the per-run engine.
-    """
-
-    def __init__(self, topology: StackedTopology) -> None:
-        self.topology = topology
-
-    def resolve_slot(self, transmitters: np.ndarray) -> Delivery:
-        """Resolve one slot for all replications (global node ids)."""
         tx = np.unique(np.asarray(transmitters, dtype=np.intp))
         empty = np.zeros(0, dtype=np.int64)
         if tx.size == 0:
@@ -95,5 +46,5 @@ class BatchCollisionFreeChannel:
         return Delivery(
             receivers=receivers,
             senders=sender_of[receivers],
-            collided=np.zeros(0, dtype=np.int64),
+            collided=empty,
         )

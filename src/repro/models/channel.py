@@ -1,9 +1,16 @@
 """The slotted channel abstraction shared by CFM and CAM.
 
 A channel answers one question per slot: *given who transmitted, who
-received what?*  Both engines (the vectorized slot-stepper and the
-object-level DES) delegate that question here, so the collision
-semantics of Sec. 3.2 live in exactly one place per model.
+received what?*  The vectorized engine and the TDMA and convergecast
+drivers delegate that question here, so the slotted collision semantics
+of Sec. 3.2 live in exactly one class per model (the DES oracle
+re-derives them in continuous time).
+
+A channel resolves a slot over any CSR topology: one deployment's
+:class:`~repro.network.topology.Topology` or a
+:class:`~repro.network.topology.StackedTopology` of many replications.
+Channels emit no trace events; whoever drives one reports
+``ChannelDelivery`` records itself.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.network.topology import Topology
+from repro.network.topology import StackedTopology, Topology
 
 __all__ = ["Delivery", "Channel", "gather_neighbors"]
 
@@ -25,9 +32,9 @@ def gather_neighbors(
 
     One fancy index gathers every transmitter's neighbor slice;
     ``receivers[k]`` hears ``senders[k]``.  This is the shared front end
-    of both collision kernels — per-run and replication-batched alike —
-    because a stacked CSR with disjoint per-replication id ranges makes
-    the gather over ``R`` topologies the same operation as over one.
+    of both collision kernels; a stacked CSR with disjoint
+    per-replication id ranges makes the gather over ``R`` topologies the
+    same operation as over one.
 
     The flat positions are built as a cumsum of unit steps with a jump
     to the next slice start at each boundary (cheaper than
@@ -86,7 +93,7 @@ class Delivery:
 class Channel(ABC):
     """Resolves concurrent transmissions into per-receiver deliveries."""
 
-    def __init__(self, topology: Topology) -> None:
+    def __init__(self, topology: Topology | StackedTopology) -> None:
         self.topology = topology
 
     @abstractmethod

@@ -31,6 +31,8 @@ from repro.errors import SimulationError
 from repro.models.cam import CollisionAwareChannel
 from repro.network.deployment import DiskDeployment
 from repro.network.topology import Topology
+from repro.obs import trace as obs_trace
+from repro.obs.events import ChannelDelivery
 
 __all__ = ["distance2_coloring", "TdmaSchedule", "TdmaFloodingResult", "run_tdma_flooding"]
 
@@ -148,6 +150,8 @@ def run_tdma_flooding(
     if sched.n_slots == 0:
         raise SimulationError("empty schedule")
     channel = CollisionAwareChannel(topology)
+    tracer = obs_trace.get_tracer()
+    emit = tracer.emit if tracer.enabled else None
 
     informed = np.zeros(topology.n_nodes, dtype=bool)
     informed[deployment.source] = True
@@ -170,6 +174,15 @@ def run_tdma_flooding(
             pending.difference_update(int(v) for v in tx)
             broadcasts += len(tx)
             delivery = channel.resolve_slot(tx)
+            if emit is not None:
+                emit(
+                    ChannelDelivery(
+                        model="cam",
+                        n_tx=len(tx),
+                        n_rx=len(delivery.receivers),
+                        n_collided=len(delivery.collided),
+                    )
+                )
             collisions += len(delivery.collided)
             fresh = delivery.receivers[~informed[delivery.receivers]]
             if len(fresh):

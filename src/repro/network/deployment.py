@@ -154,7 +154,7 @@ class DeploymentBatch:
 
     Bit-identity contract: :meth:`sample` draws each replication with
     *its own* generator via :meth:`DiskDeployment.sample`, consuming
-    exactly the random values the per-run path would — the stacking is
+    exactly the random values a lone draw would — the stacking is
     a storage layout, never a change to the random stream.  Populations
     may differ across replications (``"poisson"``), which is why the
     flat + offsets layout is primary and the ``(R, n_max)`` view is

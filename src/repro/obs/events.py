@@ -19,10 +19,11 @@ agree on field names and semantics without schema negotiation:
     The execution reached quiescence; carries the headline totals of the
     corresponding :class:`~repro.sim.results.RunResult`.
 ``ChannelDelivery``
-    Low-level channel record emitted by
-    :meth:`~repro.models.channel.Channel.resolve_slot` implementations
-    (CAM/CFM), without phase context — useful when driving a channel
-    outside an engine.
+    Low-level record of one channel resolution (CAM/CFM), without phase
+    context.  Channels do not emit it themselves: the vectorized engine
+    emits one per replication just before that slot's ``SlotResolved``,
+    and the TDMA and convergecast drivers emit one after each
+    :meth:`~repro.models.channel.Channel.resolve_slot` call.
 ``StoreAccess``
     One result-store operation by the crash-safe scheduler
     (:mod:`repro.store.scheduler`): a cache hit/miss, a put of freshly

@@ -28,6 +28,8 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.models.cam import CollisionAwareChannel
 from repro.network.deployment import DiskDeployment
+from repro.obs import trace as obs_trace
+from repro.obs.events import ChannelDelivery
 from repro.sim.config import SimulationConfig
 from repro.utils.rng import SeedLike, as_seed_sequence
 from repro.utils.validation import check_positive_int
@@ -130,6 +132,8 @@ def run_convergecast(
         )
     topo = deployment.topology()
     channel = CollisionAwareChannel(topo, carrier_sense=config.carrier_sense)
+    tracer = obs_trace.get_tracer()
+    emit = tracer.emit if tracer.enabled else None
     parents = _build_tree(deployment)
     source = deployment.source
 
@@ -177,6 +181,15 @@ def run_convergecast(
             transmissions += len(tx)
             attempts_left[tx] -= 1
             delivery = channel.resolve_slot(tx)
+            if emit is not None:
+                emit(
+                    ChannelDelivery(
+                        model="cam",
+                        n_tx=len(tx),
+                        n_rx=len(delivery.receivers),
+                        n_collided=len(delivery.collided),
+                    )
+                )
             # A sender succeeds iff its own parent heard *its* packet
             # cleanly this slot.
             got = np.zeros(len(tx), dtype=bool)

@@ -25,7 +25,12 @@ from repro.protocols.pbcast import ProbabilisticRelay
 from repro.serve.protocol import ServeRequest
 from repro.sim.config import SimulationConfig
 from repro.sim.results import RunResult
-from repro.sim.runner import _execute
+from repro.sim.runner import (
+    DEFAULT_BLOCK_SIZE,
+    _block_assignment,
+    _execute,
+    _execute_block,
+)
 from repro.store.backend import StoreBackend
 from repro.store.keys import task_key
 from repro.store.scheduler import run_tasks
@@ -101,8 +106,22 @@ def execute_tasks(
     Hits are served from the store (including the read-through memory
     tier when ``store`` wraps one), misses execute, completions
     persist — exactly the offline path, so a result's provenance never
-    depends on which front door asked for it.
+    depends on which front door asked for it.  Misses run in
+    replication blocks as in :func:`~repro.sim.runner.sweep_grid`: a
+    block is a run of consecutive tasks sharing policy, config and
+    engine (one request's replications of one ``p``), at most
+    :data:`~repro.sim.runner.DEFAULT_BLOCK_SIZE` long.  DES tasks stay
+    one per block.
     """
+    groups: list[int] = []
+    prev: tuple | None = None
+    for task in tasks:
+        family = (task[0], task[1], task[3])
+        if task[3] != "vector" or family != prev:
+            groups.append(len(groups))
+        else:
+            groups.append(groups[-1])
+        prev = family
     return run_tasks(
         _execute,
         list(tasks),
@@ -111,4 +130,6 @@ def execute_tasks(
         workers=workers,
         retries=retries,
         backoff=backoff,
+        batch_execute=_execute_block,
+        block_of=_block_assignment(groups, DEFAULT_BLOCK_SIZE),
     )

@@ -22,7 +22,9 @@ slot of phase ``k+1``.  Under ``alignment="jitter"`` it transmits at
 ``t_rx + (1 + u)`` slot lengths, ``u`` uniform in ``{0..s-1}`` — a
 random slot of its *own* next phase.  Back-to-back transmissions in
 adjacent slots touch without overlapping (intervals are half-open;
-simultaneous end/start events process ends first).
+simultaneous end/start events process ends first).  The per-slot series
+run to the end of the last phase in which a relay was scheduled, as in
+the vectorized engine.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ class DesBroadcastSimulation:
                 population=config.population,
             )
         self.deployment = deployment
+        if deployment.n_field_nodes < 1:
+            raise ProtocolError("deployment has no field nodes to inform")
         self.topology = deployment.topology(
             carrier_radius=config.analysis.carrier_radius
             if config.carrier_sense
@@ -120,6 +124,7 @@ class DesBroadcastSimulation:
         self.collisions = 0
         self._tx_log: list[tuple[float, int]] = []  # (midpoint time, sender)
         self._rx_log: list[tuple[float, int]] = []  # (tx start time, receiver) first rx
+        self._last_attempt = 0.0  # latest scheduled relay, vetoed or not
         # Slot-level telemetry, populated only while a tracer is active
         # (self._emit is bound at run() start).  _slot_arrivals counts
         # in-range transmissions per (slot, receiver) so collisions can
@@ -145,6 +150,7 @@ class DesBroadcastSimulation:
 
     def _begin_tx(self, sender: int, packet: Packet) -> None:
         node = self.nodes[sender]
+        self._last_attempt = max(self._last_attempt, self.sim.now)
         # Last-moment veto (counter-based / coverage suppression).
         heard = None
         if self.policy.needs_overheard:
@@ -284,13 +290,12 @@ class DesBroadcastSimulation:
         # Non-disk deployments can span more distance bands than P.
         n_rings = max(cfg.n_rings, int(ring_idx.max()))
 
-        horizon_slots = max(
-            (
-                int(max((t for t, _ in self._tx_log), default=0.0) // SLOT_LEN) + 1,
-                int(max((t for t, _ in self._rx_log), default=0.0) // SLOT_LEN) + 1,
-                1,
-            )
-        )
+        # The slot series runs to the end of the last phase in which a
+        # relay was scheduled (transmitted or vetoed), exactly where the
+        # vectorized engine's phase loop stops.
+        last = max([self._last_attempt, *(t for t, _ in self._tx_log + self._rx_log)])
+        last_slot = int(last // SLOT_LEN)
+        horizon_slots = (last_slot // slots + 1) * slots
         new_by_slot = np.zeros(horizon_slots, dtype=np.int64)
         bcasts_by_slot = np.zeros(horizon_slots, dtype=np.int64)
         for t, _sender in self._tx_log:
@@ -298,7 +303,7 @@ class DesBroadcastSimulation:
         for t, _receiver in self._rx_log:
             new_by_slot[min(int(t // SLOT_LEN), horizon_slots - 1)] += 1
 
-        n_phases = -(-horizon_slots // slots)
+        n_phases = horizon_slots // slots
         new_by_phase_ring = np.zeros((n_phases, n_rings))
         bcasts_by_phase = np.zeros(n_phases)
         for t, receiver in self._rx_log:

@@ -16,6 +16,10 @@ or a path — to run through the content-addressed result store: cached
 tasks are served without computing, fresh completions are persisted and
 journaled as they land (so a killed sweep resumes where it died via
 ``resume=True``), and results are bit-identical to a storeless run.
+
+Vector-engine work runs in replication blocks through
+:func:`~repro.sim.engine.run_broadcast_batch`, traced or not; a task
+dispatched on its own is a block of one.  DES tasks run one by one.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import provenance as obs_provenance
 from repro.obs import spans as obs_spans
-from repro.obs import trace as obs_trace
 from repro.protocols.base import RelayPolicy
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
@@ -53,10 +56,10 @@ StoreLike = Union["StoreBackend", str, "os.PathLike[str]", None]
 #: Accepted forms of the ``manifest_dir=`` argument.
 PathLike = Union[str, "os.PathLike[str]", None]
 
-#: Replications dispatched per pool task when the batched engine is
-#: eligible (``engine="vector"``, no tracer attached) and the caller
-#: left ``block_size=None``.  Matches the paper's ~30 runs per grid
-#: point, so a whole point usually advances as one stacked update.
+#: Replications dispatched per pool task for ``engine="vector"`` when
+#: the caller left ``block_size=None``.  Matches the paper's ~30 runs
+#: per grid point, so a whole point usually advances as one stacked
+#: update.
 DEFAULT_BLOCK_SIZE = 32
 
 
@@ -91,11 +94,14 @@ def _execute_block(tasks: Sequence[tuple]) -> list[RunResult]:
     Every task in a block shares ``(policy, config, engine, alignment)``
     by construction (see :func:`_block_assignment`); only seeds and
     optional pre-built deployments vary, which is exactly the shape
-    :func:`~repro.sim.engine.run_broadcast_batch` consumes.
+    :func:`~repro.sim.engine.run_broadcast_batch` consumes.  The DES
+    engine has no block form, so a DES block runs its tasks one by one.
     """
     from repro.sim.engine import run_broadcast_batch
 
-    policy, config, _, _, _, _ = tasks[0]
+    policy, config, _, engine, _, _ = tasks[0]
+    if engine != "vector":
+        return [_execute(task) for task in tasks]
     seeds = [t[2] for t in tasks]
     deployments = [t[5] for t in tasks]
     deps = deployments if deployments[0] is not None else None
@@ -113,15 +119,13 @@ def _execute_block(tasks: Sequence[tuple]) -> list[RunResult]:
 
 
 def _resolve_block_size(block_size: int | None, engine: str) -> int:
-    """Effective replication-block size; ``0`` selects the per-run path.
+    """Effective replication-block size; ``0`` dispatches task by task.
 
-    The batched engine only stands in for ``engine="vector"`` and only
-    when no tracer is attached: traced runs go through
-    :func:`~repro.sim.engine.run_broadcast` so each replication reports
-    its own per-slot event stream (results are bit-identical either
-    way; see the telemetry-neutrality tests).
+    Blocks only form for ``engine="vector"``.  Task-by-task dispatch
+    runs each vector task as a block of one, so results (and traced
+    event streams) are identical for every block size.
     """
-    if engine != "vector" or obs_trace.get_tracer().enabled:
+    if engine != "vector":
         return 0
     if block_size is None:
         return DEFAULT_BLOCK_SIZE
@@ -260,14 +264,12 @@ def replicate(
         With batching, a pool task is one replication *block*.
     block_size:
         Replications advanced per
-        :func:`~repro.sim.engine.run_broadcast_batch` block.  ``None``
-        (default) picks :data:`DEFAULT_BLOCK_SIZE` when the batched
-        engine is eligible; ``0`` (or ``1``) forces the per-run path.
-        The batched path only stands in for ``engine="vector"`` with no
-        tracer attached — traced runs always use
-        :func:`~repro.sim.engine.run_broadcast` so each replication
-        reports its own event stream.  Results are bit-identical for
-        every setting; only wall-clock changes.
+        :func:`~repro.sim.engine.run_broadcast_batch` block (vector
+        engine only).  ``None`` (default) picks
+        :data:`DEFAULT_BLOCK_SIZE`; ``0`` or ``1`` runs one replication
+        per block.  Traced runs use blocks too: each replication still
+        reports its own event stream, in replication order.  Results
+        are bit-identical for every setting; only wall-clock changes.
     progress:
         If true, print throttled progress/ETA lines to stderr via
         :class:`repro.obs.progress.SweepProgress`.
@@ -462,12 +464,11 @@ def sweep_grid(
         before a structured :class:`~repro.errors.SchedulerError`
         surfaces them (completed siblings stay persisted).
     block_size:
-        As in :func:`replicate`: replications advanced per batched-
-        engine block.  Blocks never span grid points (each point has
-        its own policy and config), so a point's ``replications`` runs
-        form ``ceil(replications / block_size)`` pool tasks.  Store
-        keys and payloads stay per run, bit-identical to the per-run
-        path.
+        As in :func:`replicate`: replications advanced per engine
+        block.  Blocks never span grid points (each point has its own
+        policy and config), so a point's ``replications`` runs form
+        ``ceil(replications / block_size)`` pool tasks.  Store keys and
+        payloads stay per run, bit-identical for every block size.
 
     Returns
     -------

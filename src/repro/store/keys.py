@@ -45,7 +45,8 @@ __all__ = [
 
 #: Version of the packed-result layout (see :mod:`repro.store.backend`).
 #: Part of every key: bumping it invalidates the whole store at once.
-RESULT_SCHEMA_VERSION = 1
+#: 2: DES slot series run to the end of their last active phase.
+RESULT_SCHEMA_VERSION = 2
 
 
 def _canonical(value: Any) -> Any:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.lint.baseline import fingerprint_findings, load_baseline
 from repro.analysis.lint.core import check_paths
 
@@ -17,11 +19,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CHECKED = ("src", "tests", "benchmarks", "examples")
 
 
-def test_repo_has_no_new_findings():
-    findings, _ = check_paths(
+@pytest.fixture(scope="module")
+def repo_check():
+    """One analyzer pass over the tree: ``(findings, unused suppressions)``."""
+    return check_paths(
         [REPO_ROOT / p for p in CHECKED if (REPO_ROOT / p).exists()],
         root=REPO_ROOT,
     )
+
+
+def test_repo_has_no_new_findings(repo_check):
+    findings, _ = repo_check
     baseline = load_baseline(REPO_ROOT / "lint-baseline.json")
     new = [
         f
@@ -40,13 +48,10 @@ def test_committed_baseline_is_empty():
     assert len(baseline) == 0
 
 
-def test_every_suppression_is_used_and_reasoned():
+def test_every_suppression_is_used_and_reasoned(repo_check):
     """Stale allow-comments are debt too: each one must still be
     suppressing a live finding."""
-    findings, unused = check_paths(
-        [REPO_ROOT / p for p in CHECKED if (REPO_ROOT / p).exists()],
-        root=REPO_ROOT,
-    )
+    findings, unused = repo_check
     assert unused == [], "unused suppressions:\n" + "\n".join(
         f"  line {s.line}: allow({', '.join(s.rules)})" for s in unused
     )

@@ -1,9 +1,9 @@
-"""Batch channels against the per-replication reference.
+"""Channels over a stacked topology against the per-replication reference.
 
-A batch channel resolving one slot over the stacked global id space
-must produce exactly the concatenation (with offsets applied) of what
-each replication's ordinary channel produces on the same local
-transmitter sets — because the blocks are disjoint, the single
+A channel resolving one slot over the stacked global id space must
+produce exactly the concatenation (with offsets applied) of what the
+same channel produces on each replication's own topology for the same
+local transmitter sets — because the blocks are disjoint, the single
 bincount pass cannot mix them.
 """
 
@@ -12,12 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.models.cam import (
-    BatchCollisionAwareChannel,
-    CollisionAwareChannel,
-    counts_and_senders,
-)
-from repro.models.cfm import BatchCollisionFreeChannel, CollisionFreeChannel
+from repro.models.cam import CollisionAwareChannel, counts_and_senders
+from repro.models.cfm import CollisionFreeChannel
 from repro.models.channel import gather_neighbors
 from repro.network.deployment import DeploymentBatch
 
@@ -71,9 +67,11 @@ def assert_delivery_matches(got, ref):
 
 
 class TestBatchCollisionAware:
+    """``CollisionAwareChannel`` over a stacked (batch) topology."""
+
     @pytest.mark.parametrize("carrier_sense", [False, True], ids=["plain", "carrier"])
     def test_matches_per_replication(self, batch, stacked, carrier_sense):
-        channel = BatchCollisionAwareChannel(stacked, carrier_sense=carrier_sense)
+        channel = CollisionAwareChannel(stacked, carrier_sense=carrier_sense)
         rng = np.random.default_rng(7)
         for _ in range(10):
             tx = _random_tx(batch, rng)
@@ -85,13 +83,13 @@ class TestBatchCollisionAware:
             assert_delivery_matches(channel.resolve_slot(tx), ref)
 
     def test_empty_slot(self, stacked):
-        d = BatchCollisionAwareChannel(stacked).resolve_slot(np.array([], dtype=np.int64))
+        d = CollisionAwareChannel(stacked).resolve_slot(np.array([], dtype=np.int64))
         assert d.receivers.size == 0
         assert d.senders.size == 0
         assert d.collided.size == 0
 
     def test_sorted_outputs(self, batch, stacked):
-        channel = BatchCollisionAwareChannel(stacked)
+        channel = CollisionAwareChannel(stacked)
         tx = _random_tx(batch, np.random.default_rng(3))
         d = channel.resolve_slot(tx)
         assert np.array_equal(d.receivers, np.sort(d.receivers))
@@ -99,8 +97,10 @@ class TestBatchCollisionAware:
 
 
 class TestBatchCollisionFree:
+    """``CollisionFreeChannel`` over a stacked (batch) topology."""
+
     def test_matches_per_replication(self, batch, stacked):
-        channel = BatchCollisionFreeChannel(stacked)
+        channel = CollisionFreeChannel(stacked)
         rng = np.random.default_rng(11)
         for _ in range(10):
             tx = _random_tx(batch, rng)
@@ -108,14 +108,14 @@ class TestBatchCollisionFree:
             assert_delivery_matches(channel.resolve_slot(tx), ref)
 
     def test_no_collisions_ever(self, batch, stacked):
-        channel = BatchCollisionFreeChannel(stacked)
+        channel = CollisionFreeChannel(stacked)
         tx = _random_tx(batch, np.random.default_rng(13))
         assert channel.resolve_slot(tx).collided.size == 0
 
     def test_lowest_sender_wins(self, stacked):
         """CFM tie-break is lowest transmitter id, also across the
         stacked id space (each receiver's candidates stay in-block)."""
-        channel = BatchCollisionFreeChannel(stacked)
+        channel = CollisionFreeChannel(stacked)
         indptr, indices = stacked.indptr, stacked.indices
         # Find a node with >= 2 neighbors and transmit from both.
         node = int(np.argmax(np.diff(indptr) >= 2))

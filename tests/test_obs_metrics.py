@@ -111,7 +111,7 @@ class TestInstrumentation:
         assert snap["engine.runs"] == 1
         assert snap["engine.slots_resolved"] == len(result.new_informed_by_slot)
         assert snap["engine.collisions"] == result.collisions
-        assert snap["engine.run"]["count"] == 1
+        assert snap["engine.run_batch"]["count"] == 1
         assert snap["cam.slots"] >= 1
         assert snap["cam.gather"]["total_s"] >= 0.0
 

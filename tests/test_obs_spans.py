@@ -214,13 +214,15 @@ class TestInstrumentation:
         assert {"runner", "store", "engine", "network"} <= cats
 
     def test_engine_run_spans_and_counters(self):
+        """A single run reports the one slot loop's spans: a block of one."""
         with spans.capture_spans() as buf:
             result = run_broadcast(ProbabilisticRelay(0.6), CFG, SEED)
-        (run_span,) = buf.named("engine.run")
+        (run_span,) = buf.named("engine.run_batch")
         (loop_span,) = buf.named("engine.slot_loop")
         assert loop_span.parent_id == run_span.span_id
-        assert run_span.counters["collisions"] == float(result.collisions)
-        (deploy,) = buf.named("engine.deploy")
+        assert run_span.counters["reps"] == 1.0
+        assert loop_span.counters["collisions"] == float(result.collisions)
+        (deploy,) = buf.named("engine.deploy_batch")
         assert deploy.counters["nodes"] > 0
         (build,) = buf.named("topology.build")
         assert build.cat == "network"

@@ -279,3 +279,29 @@ class TestResponses:
         assert a == b
         assert len(counting.calls) == 1
         assert service.stats.memory_hits == 0
+
+
+class TestComputeBlocks:
+    def test_misses_run_in_blocks_per_request_and_p(self, tmp_path):
+        """A miss batch runs one engine block per (request, p) run of
+        tasks, DES tasks one at a time, with results bit-identical to
+        executing every task alone."""
+        from repro.obs import spans
+        from repro.serve.compute import plan_tasks
+        from repro.sim.runner import _execute
+        from tests.test_obs_neutrality import assert_identical
+
+        plans = [
+            plan_tasks(parse_request(OBJECTIVE)),
+            plan_tasks(parse_request(dict(BOUND, engine="des"))),
+            plan_tasks(parse_request(BOUND)),
+        ]
+        tasks = [t for plan in plans for t in plan.tasks]
+        keys = [k for plan in plans for k in plan.keys]
+        with spans.capture_spans() as buf:
+            results = execute_tasks(tasks, keys, DiskStore(tmp_path / "store"))
+        blocks = [s.counters["reps"] for s in buf.named("engine.run_batch")]
+        assert blocks == [2.0, 2.0, 3.0]
+        assert len(buf.named("runner.task")) == BOUND["replications"]
+        for task, result in zip(tasks, results, strict=True):
+            assert_identical(result, _execute(task))

@@ -199,14 +199,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least one seed"):
             run_broadcast_batch(SimpleFlooding(), _config(), [])
 
-    def test_n_reps_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="n_reps"):
-            run_broadcast_batch(SimpleFlooding(), _config(), [1, 2], n_reps=3)
-
-    def test_n_reps_match_accepted(self):
-        results = run_broadcast_batch(SimpleFlooding(), _config(), [1, 2], n_reps=2)
-        assert len(results) == 2
-
     def test_deployments_misaligned_rejected(self):
         rng = np.random.default_rng(0)
         dep = DiskDeployment.sample(rho=20, n_rings=3, rng=rng)

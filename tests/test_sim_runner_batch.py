@@ -2,9 +2,9 @@
 
 Covers the runner-level contracts of the replication-batched engine:
 ``replicate``/``sweep_grid`` results are bit-identical across block
-sizes, telemetry stays neutral on the batched path, traced runs fall
-back to the per-run engine (each replication reports its own event
-stream), and progress accounting stays in run units.
+sizes, telemetry stays neutral on the batched path, traced runs keep
+their blocks and still report one event stream per replication, and
+progress accounting stays in run units.
 """
 
 from __future__ import annotations
@@ -115,22 +115,24 @@ class TestTelemetryNeutrality:
         assert plain[0].metrics is None
         assert collected[0].metrics
 
-    def test_tracer_falls_back_to_per_run_engine(self, cfg):
-        """With a tracer attached the runner must route every
-        replication through the per-run engine so each run reports its
-        own event stream — and the results stay bit-identical to the
-        batched execution of the same seeds."""
+    def test_traced_blocks_match_blocks_of_one(self, cfg):
+        """A traced block of three emits the three runs' event streams
+        one after another, exactly as three traced blocks of one do, and
+        the results stay bit-identical to the untraced block."""
         batched = replicate(ProbabilisticRelay(0.6), cfg, 3, seed=SEED, block_size=3)
         with capture() as buf:
             traced = replicate(
                 ProbabilisticRelay(0.6), cfg, 3, seed=SEED, block_size=3
             )
-        assert len(buf) > 0, "per-run fallback should have emitted events"
+        with capture() as single:
+            replicate(ProbabilisticRelay(0.6), cfg, 3, seed=SEED, block_size=1)
+        assert len(buf) > 0, "a traced block should have emitted events"
+        assert buf.events == single.events
         assert_runs_identical(batched, traced)
 
-    def test_tracer_forces_per_run_resolution(self):
+    def test_tracer_keeps_block_size(self):
         with capture():
-            assert _resolve_block_size(8, "vector") == 0
+            assert _resolve_block_size(8, "vector") == 8
         assert _resolve_block_size(8, "vector") == 8
 
 
