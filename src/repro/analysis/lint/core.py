@@ -2,9 +2,12 @@
 
 A rule is a small object with an ``id``, a one-line ``summary``, a
 path-scoping predicate (:meth:`Rule.applies`) and a :meth:`Rule.check`
-that walks a parsed module and yields :class:`Finding` objects.  Rules
-register themselves into a module-level registry via :func:`register`
-so the CLI, the pytest hook and the self-tests all see the same set.
+that reads a parsed module through :meth:`ModuleContext.nodes` and
+yields :class:`Finding` objects.  ``nodes`` answers from an index built
+by one ``ast.walk`` per module, so a rule costs what it matches, not a
+walk of the tree.  Rules register themselves into a module-level
+registry via :func:`register` so the CLI, the pytest hook and the
+self-tests all see the same set.
 
 Suppressions are per-finding and must carry a reason::
 
@@ -14,6 +17,7 @@ A suppression comment applies to findings on its own line, or — when it
 is the entire line — to the first following line that holds code.  A
 reason is mandatory; a bare ``# repro: allow(rule)`` does not suppress
 (the finding survives, which is how you notice the malformed comment).
+Only files whose text contains ``repro:`` are tokenized for them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar, overload
 
 __all__ = [
     "Finding",
@@ -80,6 +84,9 @@ class Finding:
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*allow\(\s*(?P<rules>[a-z0-9_*,\s-]+?)\s*\)\s*(?:[—–-]+\s*)?(?P<reason>.*)$"
 )
+#: A literal every :data:`_SUPPRESS_RE` match contains: a source without
+#: it holds no suppression, so it is never tokenized.
+_SUPPRESS_MARKER = "repro:"
 
 
 @dataclass
@@ -105,10 +112,13 @@ def parse_suppressions(source: str) -> dict[int, Suppression]:
     Only real ``COMMENT`` tokens count (a suppression example inside a
     docstring is documentation, not a suppression).  A comment on a code
     line guards that line; a comment that is the whole line guards the
-    next non-blank, non-comment line.
+    next non-blank, non-comment line.  A source without
+    :data:`_SUPPRESS_MARKER` cannot match, so it skips tokenizing.
     """
-    lines = source.splitlines()
     out: dict[int, Suppression] = {}
+    if _SUPPRESS_MARKER not in source:
+        return out
+    lines = source.splitlines()
     n = len(lines)
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -136,15 +146,58 @@ def parse_suppressions(source: str) -> dict[int, Suppression]:
     return out
 
 
+_N = TypeVar("_N", bound=ast.AST)
+
+
 @dataclass
 class ModuleContext:
-    """Everything a rule needs to check one module."""
+    """Everything a rule needs to check one module.
+
+    Rules read the tree through :meth:`nodes` rather than walking it,
+    and share what they derive from it (the rules' import map) through
+    :attr:`memo`; :meth:`drop_index` frees both once the module rules
+    have run.
+    """
 
     path: str  #: repo-relative posix path
     tree: ast.Module
     lines: Sequence[str]
     suppressions: dict[int, Suppression] = field(default_factory=dict)
     source: str = ""  #: raw text (project rules feed it to the fact cache)
+    memo: dict[Any, Any] = field(default_factory=dict, repr=False)
+    _walk: list[ast.AST] | None = field(default=None, init=False, repr=False)
+    _index: dict[tuple[type, ...], list[ast.AST]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @overload
+    def nodes(self, node_type: type[_N], /) -> list[_N]: ...
+
+    @overload
+    def nodes(self, *types: type[ast.AST]) -> list[ast.AST]: ...
+
+    def nodes(self, *types: type[ast.AST]) -> list[ast.AST]:
+        """The module's nodes that are instances of ``types``, in
+        ``ast.walk`` order: ``[n for n in ast.walk(tree) if
+        isinstance(n, types)]``.
+
+        The first call walks the tree once and keeps the walk; each
+        distinct query filters it once and is memoized, so the rules of
+        a module share one walk and a multi-type query keeps walk order.
+        """
+        walk = self._walk
+        if walk is None:
+            walk = self._walk = list(ast.walk(self.tree))
+        hit = self._index.get(types)
+        if hit is None:
+            hit = self._index[types] = [n for n in walk if isinstance(n, types)]
+        return list(hit)
+
+    def drop_index(self) -> None:
+        """Free the node index and the memo (rebuilt on next use)."""
+        self._walk = None
+        self._index = {}
+        self.memo = {}
 
     def snippet(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
@@ -212,7 +265,9 @@ class Rule:
     """Base class for invariant rules.
 
     Subclasses set :attr:`id` and :attr:`summary`, optionally override
-    :meth:`applies` for path scoping, and implement :meth:`check`.
+    :meth:`applies` for path scoping, and implement :meth:`check`, which
+    reads the module through :meth:`ModuleContext.nodes` (one shared
+    walk per module) instead of walking ``ctx.tree`` itself.
     """
 
     id: str = ""
@@ -381,6 +436,7 @@ def check_paths(
         for rule in selected:
             if rule.applies(rel):
                 findings.extend(rule.check(ctx))
+        ctx.drop_index()  # the project rules read summaries, not nodes
     if proj_selected:
         pctx = ProjectContext(
             modules={c.path: c for c in contexts},

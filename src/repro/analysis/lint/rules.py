@@ -23,6 +23,10 @@ by actual dataflow in the whole-program rules of
 Scoping is by repo-relative path (the linter is run from the repo
 root); fixture snippets in the self-tests pick their synthetic paths to
 land inside or outside each rule's scope.
+
+Rules query nodes by type through :meth:`ModuleContext.nodes`, which
+serves every rule of a module from one walk, and read the module's
+:class:`ImportMap`, which is built once per module.
 """
 
 from __future__ import annotations
@@ -62,9 +66,15 @@ class ImportMap:
     from_imports: dict[str, tuple[str, str]] = field(default_factory=dict)
 
     @classmethod
-    def of(cls, tree: ast.Module) -> "ImportMap":
-        m = cls()
-        for node in ast.walk(tree):
+    def of(cls, ctx: ModuleContext) -> "ImportMap":
+        """The module's import map, built on first use and shared by the
+        rules through ``ctx.memo``.  Import statements are read in walk
+        order, so a later binding of a name wins."""
+        m = ctx.memo.get(cls)
+        if m is not None:
+            return m
+        m = ctx.memo[cls] = cls()
+        for node in ctx.nodes(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
@@ -140,10 +150,8 @@ class DetGlobalRng(Rule):
         return path not in self._ALLOW
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = ImportMap.of(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        imports = ImportMap.of(ctx)
+        for node in ctx.nodes(ast.Call):
             func = node.func
             if isinstance(func, ast.Attribute):
                 recv = func.value
@@ -216,10 +224,8 @@ class DetWallclock(Rule):
         return _in_src_repro(path) and path not in self._ALLOW
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = ImportMap.of(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        imports = ImportMap.of(ctx)
+        for node in ctx.nodes(ast.Call):
             func = node.func
             if isinstance(func, ast.Attribute):
                 recv = func.value
@@ -283,12 +289,12 @@ class DepRuntimeScipy(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         type_checking_only: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.If) and self._is_type_checking(node.test):
+        for node in ctx.nodes(ast.If):
+            if self._is_type_checking(node.test):
                 for sub in node.body:
                     for inner in ast.walk(sub):
                         type_checking_only.add(id(inner))
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes(ast.Import, ast.ImportFrom):
             if id(node) in type_checking_only:
                 continue
             if isinstance(node, ast.Import):
@@ -363,10 +369,9 @@ class ObsNeutrality(Rule):
             yield from self._check_span_sites(ctx)
 
     def _check_result_fields(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes(ast.ClassDef):
             if not (
-                isinstance(node, ast.ClassDef)
-                and node.name.endswith("Result")
+                node.name.endswith("Result")
                 and any(self._is_dataclass_deco(d) for d in node.decorator_list)
             ):
                 continue
@@ -391,10 +396,9 @@ class ObsNeutrality(Rule):
                     )
 
     def _check_emit_sites(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes(ast.Call):
             if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+                isinstance(node.func, ast.Attribute)
                 and node.func.attr == "emit"
                 and self._is_tracer_expr(node.func.value)
             ):
@@ -408,10 +412,9 @@ class ObsNeutrality(Rule):
             )
 
     def _check_span_sites(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes(ast.Call):
             if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+                isinstance(node.func, ast.Attribute)
                 and node.func.attr in self._SPAN_METHODS
                 and self._is_profiler_expr(node.func.value)
             ):
@@ -492,10 +495,8 @@ class VecObjectDtype(Rule):
         return path in self._HOT_FILES or path.startswith(self._HOT_PREFIXES)
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = ImportMap.of(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        imports = ImportMap.of(ctx)
+        for node in ctx.nodes(ast.Call):
             for kw in node.keywords:
                 if kw.arg == "dtype" and self._is_object_dtype(kw.value, imports):
                     yield ctx.finding(
@@ -561,9 +562,7 @@ class ErrSilentExcept(Rule):
         return path.startswith("src/")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in ctx.nodes(ast.ExceptHandler):
             if node.type is None:
                 yield ctx.finding(
                     self.id,

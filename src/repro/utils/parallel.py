@@ -64,8 +64,17 @@ class TaskFailure:
 
 
 def default_workers() -> int:
-    """A conservative default worker count: physical parallelism minus one."""
-    return max(1, (os.cpu_count() or 2) - 1)
+    """A conservative default worker count: usable CPUs minus one.
+
+    Usable CPUs are the process's affinity set where the platform
+    exposes it: in a cpuset-limited container ``os.cpu_count()`` counts
+    the host's CPUs, and a pool that size would oversubscribe.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - macOS / Windows
+        cpus = os.cpu_count() or 2
+    return max(1, cpus - 1)
 
 
 def _run_chunk(

@@ -118,3 +118,10 @@ class TestFailureCapture:
 
 def test_default_workers_at_least_one():
     assert default_workers() >= 1
+
+
+def test_default_workers_honors_cpu_affinity(monkeypatch):
+    """A process pinned to one CPU of a 64-CPU host gets one worker, not 63."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_workers() == 1
