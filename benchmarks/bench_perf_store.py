@@ -58,6 +58,9 @@ def test_store_warm_sweep_200(benchmark, tmp_path):
             np.testing.assert_array_equal(
                 x.broadcasts_by_slot, y.broadcasts_by_slot
             )
+            np.testing.assert_array_equal(x.informed_mask, y.informed_mask)
+            assert x.informed_mask.dtype == y.informed_mask.dtype
+            assert x.collisions == y.collisions
 
 
 @pytest.fixture(scope="module")

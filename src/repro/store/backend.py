@@ -26,6 +26,8 @@ over the canonical payload text, so bit rot and torn writes are
 served.  Writes go to a temp file in the same directory followed by
 ``os.replace`` — readers never observe a half-written entry, and a
 crash leaves at worst an orphaned ``*.tmp`` the next ``gc`` sweeps up.
+Each writer (process and thread) names its own temp file, so two
+writers racing on one key each rename a whole file of their own.
 Because the sharded layout reuses the entry format byte-for-byte,
 :func:`migrate_store` copies entry files verbatim — checksums and
 bit-identity carry over by construction.
@@ -40,15 +42,24 @@ bit-identity with the originals (the acceptance bar for warm-cache
 sweeps).  The one deliberate exception: :attr:`RunResult.metrics` is a
 telemetry snapshot (``compare=False``, never part of result identity)
 and is not persisted — cached results come back with ``metrics=None``.
+
+A boolean array (a run's per-node ``informed_mask``) is stored
+bit-packed, as ``bits``: the base64 of :func:`numpy.packbits` over the
+flattened array.  Every other array is a ``data`` list of its values,
+and so were boolean arrays in entries written before result schema 3;
+:func:`_unpack_array` reads both forms.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
+import threading
 from pathlib import Path
 from typing import Any, Iterator, Protocol, Sequence
 
@@ -87,15 +98,27 @@ _KEY_CHARS = frozenset(_SHARD_NAMES)
 # RunResult <-> JSON-safe dict
 # ----------------------------------------------------------------------
 def _pack_array(a: np.ndarray) -> dict:
-    return {
-        "dtype": str(a.dtype),
-        "shape": [int(s) for s in a.shape],
-        "data": a.ravel().tolist(),
-    }
+    doc: dict[str, Any] = {"dtype": str(a.dtype), "shape": [int(s) for s in a.shape]}
+    if a.dtype == np.bool_:
+        packed = np.packbits(a.ravel()).tobytes()
+        doc["bits"] = base64.b64encode(packed).decode("ascii")
+    else:
+        doc["data"] = a.ravel().tolist()
+    return doc
 
 
 def _unpack_array(d: dict) -> np.ndarray:
-    return np.array(d["data"], dtype=d["dtype"]).reshape(d["shape"])
+    if "bits" not in d:
+        return np.array(d["data"], dtype=d["dtype"]).reshape(d["shape"])
+    if d["dtype"] != "bool":
+        raise ValueError(f"bit-packed array of dtype {d['dtype']!r}")
+    size = math.prod(d["shape"])
+    raw = base64.b64decode(d["bits"], validate=True)
+    if len(raw) != (size + 7) // 8:
+        # unpackbits(count=...) would zero-pad a short field silently.
+        raise ValueError(f"{len(raw)} packed bytes for {size} booleans")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size)
+    return bits.view(np.bool_).reshape(d["shape"])
 
 
 def _pack_entropy(entropy: Any) -> Any:
@@ -161,8 +184,12 @@ def unpack_result(doc: dict) -> RunResult:
 # the disk store
 # ----------------------------------------------------------------------
 def _atomic_write_text(path: Path, text: str) -> None:
-    """Write via a same-directory temp file + ``os.replace``."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Write via a same-directory temp file + ``os.replace``.
+
+    The temp name is per writer (process and thread), so two writers
+    racing on one path never share, truncate or rename each other's file.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
 

@@ -46,7 +46,8 @@ __all__ = [
 #: Version of the packed-result layout (see :mod:`repro.store.backend`).
 #: Part of every key: bumping it invalidates the whole store at once.
 #: 2: DES slot series run to the end of their last active phase.
-RESULT_SCHEMA_VERSION = 2
+#: 3: boolean arrays are bit-packed.
+RESULT_SCHEMA_VERSION = 3
 
 
 def _canonical(value: Any) -> Any:
@@ -64,7 +65,11 @@ def _canonical(value: Any) -> Any:
         # NaN has no JSON form; tag it so it stays distinct from null.
         return "__nan__" if math.isnan(value) else value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _canonical(dataclasses.asdict(value))
+        # The form of ``asdict(value)``, without its recursive deep copy.
+        return {
+            f.name: _canonical(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

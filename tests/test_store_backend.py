@@ -1,5 +1,6 @@
 """Disk backend: round-trips, checksums, atomicity, the advisory index."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -10,7 +11,15 @@ from repro.errors import StoreCorruptionError, StoreError
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import replicate
-from repro.store import DiskStore, pack_result, task_key, unpack_result
+from repro.store import (
+    RESULT_SCHEMA_VERSION,
+    DiskStore,
+    canonical_json,
+    pack_result,
+    task_key,
+    unpack_result,
+)
+from repro.store.backend import STORE_SCHEMA, _pack_array, _unpack_array
 
 
 @pytest.fixture
@@ -60,6 +69,89 @@ class TestPackUnpack:
     def test_metrics_not_persisted(self, runs):
         assert "metrics" not in pack_result(runs[0])
         assert unpack_result(pack_result(runs[0])).metrics is None
+
+
+def write_entry(store, key, payload, result_schema):
+    """Write ``payload`` under ``key`` with a valid checksum, as ``put`` does."""
+    text = canonical_json(payload)
+    doc = {
+        "schema": STORE_SCHEMA,
+        "result_schema": result_schema,
+        "key": key,
+        "checksum": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "payload_json": text,
+    }
+    path = store.path_for(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+class TestBitPackedBooleans:
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (8,), (9,), (3501,), (5, 13)])
+    def test_round_trip(self, shape):
+        a = np.random.default_rng(sum(shape)).random(shape) < 0.5
+        packed = json.loads(json.dumps(_pack_array(a)))
+        assert "data" not in packed
+        b = _unpack_array(packed)
+        assert b.dtype == np.bool_ and b.shape == a.shape
+        np.testing.assert_array_equal(a, b)
+
+    def test_other_dtypes_stay_lists(self):
+        for a in (np.arange(5, dtype=np.int32), np.linspace(0, 1, 4)):
+            packed = _pack_array(a)
+            assert packed["data"] == a.tolist() and "bits" not in packed
+            b = _unpack_array(packed)
+            assert b.dtype == a.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"dtype": "bool", "shape": [20], "bits": "/w=="},  # 1 byte, needs 3
+            {"dtype": "bool", "shape": [4], "bits": "////"},  # 3 bytes, needs 1
+            {"dtype": "bool", "shape": [4], "bits": "8!A=="},  # not base64
+            {"dtype": "int64", "shape": [4], "bits": "8A=="},  # not boolean
+        ],
+    )
+    def test_malformed_fields_raise(self, field):
+        with pytest.raises(ValueError):
+            _unpack_array(field)
+
+    def test_legacy_list_mask_still_served(self, store, cfg, runs):
+        """Entries written before bit-packing hold the mask as a list."""
+        payload = {"results": [pack_result(r) for r in runs]}
+        for doc, r in zip(payload["results"], runs, strict=True):
+            doc["informed_mask"] = {
+                "dtype": "bool",
+                "shape": list(r.informed_mask.shape),
+                "data": r.informed_mask.tolist(),
+            }
+        key = key_for(cfg)
+        write_entry(store, key, payload, result_schema=2)
+        got = store.get(key)
+        for a, b in zip(runs, got, strict=True):
+            assert_results_identical(a, b)
+        assert store.verify() == []
+
+    def test_short_bits_with_valid_checksum_rejected(self, store, cfg, runs):
+        payload = {"results": [pack_result(r) for r in runs]}
+        mask = payload["results"][0]["informed_mask"]
+        assert mask["shape"][0] > 8
+        mask["bits"] = "/w=="  # one byte of True: zero-padding would hide it
+        key = key_for(cfg)
+        write_entry(store, key, payload, result_schema=RESULT_SCHEMA_VERSION)
+        with pytest.raises(StoreCorruptionError):
+            store.get(key)
+        assert [k for k, _ in store.verify()] == [key]
+
+    def test_rho140_entry_is_small(self, store):
+        """One 3501-node run: ~19 KB when its mask was a list of booleans."""
+        cfg140 = SimulationConfig(analysis=AnalysisConfig(rho=140))
+        (run,) = replicate(ProbabilisticRelay(0.5), cfg140, 1, seed=7)
+        assert run.informed_mask.size == 3501
+        key = task_key(ProbabilisticRelay(0.5), cfg140, 7, "vector", "phase")
+        assert store.put(key, [run]) < 4096
+        assert_results_identical(run, store.get(key)[0])
 
 
 class TestDiskStore:

@@ -1,4 +1,4 @@
-"""Concurrent writers on one sharded store: flock, crashes, recovery."""
+"""Concurrent writers on one store: flock, crashes, recovery, racing puts."""
 
 import multiprocessing
 import os
@@ -9,7 +9,14 @@ from repro.analysis.config import AnalysisConfig
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import _execute
-from repro.store import FileLock, ShardedBackend, open_store, run_tasks, task_key
+from repro.store import (
+    DiskStore,
+    FileLock,
+    ShardedBackend,
+    open_store,
+    run_tasks,
+    task_key,
+)
 from repro.utils.rng import as_seed_sequence
 
 fcntl = pytest.importorskip("fcntl")
@@ -35,6 +42,13 @@ def _writer(root, specs, barrier):
     barrier.wait()  # maximise interleaving: both writers start together
     run_tasks(_execute, tasks, keys, store=store)
     store.flush_index()
+
+
+def _putter(root, key, results, barrier, n):
+    store = open_store(root)
+    barrier.wait()
+    for _ in range(n):
+        store.put(key, results)
 
 
 def _lock_holder(path, acquired, release):
@@ -106,6 +120,30 @@ class TestConcurrentWriters:
                 == fresh.new_informed_by_slot.tolist()
             )
         assert store.verify() == []
+
+
+class TestClassicLayoutRacingPuts:
+    def test_two_writers_put_one_key(self, tmp_path):
+        """The unlocked classic layout: racing puts of one key both succeed."""
+        root = tmp_path / "s"
+        assert isinstance(open_store(root), DiskStore)
+        tasks, keys = _make_tasks(0.5, 7, 1)
+        results = [_execute(tasks[0])]
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(target=_putter, args=(root, keys[0], results, barrier, 300))
+            for _ in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+            assert proc.exitcode == 0
+        store = open_store(root)
+        assert list(store.keys()) == keys
+        assert store.verify() == []
+        assert list(store.objects_dir.rglob("*.tmp")) == []
 
 
 class TestFlockAcrossProcesses:

@@ -1,5 +1,7 @@
 """Store keys: stability, sensitivity, canonical-form strictness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,20 @@ from repro.errors import StoreError
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.store import canonical_json, seed_fingerprint, sweep_key, task_key
+from repro.store.keys import _canonical
 
 
 def cfg(rho=15):
     return SimulationConfig(analysis=AnalysisConfig(n_rings=3, rho=rho))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    inner: SimulationConfig
+    pair: tuple = (1, 2.5)
+    table: dict = dataclasses.field(
+        default_factory=lambda: {"a": [AnalysisConfig(rho=3.0)], 2: (None, True)}
+    )
 
 
 class TestCanonicalJson:
@@ -33,6 +45,28 @@ class TestCanonicalJson:
         a = canonical_json(AnalysisConfig(n_rings=3, rho=15))
         b = canonical_json(AnalysisConfig(n_rings=3, rho=15))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            SimulationConfig(),
+            SimulationConfig(
+                analysis=AnalysisConfig(
+                    n_rings=3, rho=17.5, slots=4, radius=1.5, quad_nodes=48,
+                    mu_method="poisson", carrier_factor=2.5,
+                ),
+                channel="cam",
+                carrier_sense=True,
+                half_duplex=True,
+                population="poisson",
+                max_phases=40,
+            ),
+            SimulationConfig(analysis=AnalysisConfig(rho=140.0), channel="cfm"),
+            _Holder(inner=SimulationConfig(analysis=AnalysisConfig(slots=2))),
+        ],
+    )
+    def test_dataclass_form_equals_asdict_form(self, value):
+        assert _canonical(value) == _canonical(dataclasses.asdict(value))
 
     def test_unserializable_raises_not_repr(self):
         with pytest.raises(StoreError):
