@@ -7,6 +7,7 @@ a full probability sweep is one curve of a panel-(a) figure.
 import numpy as np
 
 from repro.analysis.config import AnalysisConfig
+from repro.analysis.optimizer import default_probability_grid
 from repro.analysis.ring_model import RingModel
 from repro.analysis.carrier_model import CarrierRingModel
 
@@ -49,7 +50,8 @@ def test_probability_sweep_one_density(benchmark):
 
 
 def test_probability_sweep_scalar_loop(benchmark):
-    """The pre-batching per-p loop, kept as the comparison baseline."""
+    """The same sweep as 20 batches of one (``run()`` per probability):
+    the comparison baseline for batching."""
     model = RingModel(AnalysisConfig(rho=60))
     grid = np.arange(0.05, 1.001, 0.05)
 
@@ -69,6 +71,19 @@ def test_quiescent_sweep_dense(benchmark):
         lambda: model.run_batch(grid, max_phases=200), rounds=3, iterations=1
     )
     assert len(traces) == len(grid)
+
+
+def test_quiescent_sweep_1000(benchmark):
+    """Full-depth sweep of the dense optimizer's default ladder (1000
+    probabilities at resolution 0.001, rho=140): more lanes than one
+    array step takes, so the recursion runs in lane blocks."""
+    model = RingModel(AnalysisConfig(rho=140))
+    grid = default_probability_grid(0.001)
+
+    traces = benchmark.pedantic(
+        lambda: model.run_batch(grid, max_phases=200), rounds=5, iterations=1
+    )
+    assert len(traces) == 1000
 
 
 def test_carrier_model_run(benchmark):

@@ -14,6 +14,10 @@ is the probability the first bucket receives ``i`` A-items and ``j``
 B-items.  The exact DP costs ``O(s * K1^2 * K2^2)``; above a configurable
 size threshold we fall back to the Poisson closed form, which is already
 accurate to a few 1e-3 at those counts (the tests quantify this).
+
+Like the one-type tables, the ``mu'`` tables are shared per process:
+entry ``(k1, k2)`` depends only on ``k1``, ``k2`` and ``s``, so the
+largest table built so far serves every smaller request bit for bit.
 """
 
 from __future__ import annotations
@@ -83,6 +87,35 @@ def mu_carrier_exact(k1: int, k2: int, slots: int) -> float:
     return float(1.0 - no_good_slot_table(k1, k2, slots)[k1, k2])
 
 
+class _SharedTables:
+    """The largest read-only ``mu'`` table built so far, per slot count.
+
+    ``no_good_slot_table(n1, n2, s)[: m1 + 1, : m2 + 1]`` equals
+    ``no_good_slot_table(m1, m2, s)`` bit for bit, so the largest table
+    gives every caller the bits its own table would hold.  Tables are
+    read-only and replaced, never rewritten, as they grow.
+    """
+
+    def __init__(self) -> None:
+        self._tables: dict[int, np.ndarray] = {}
+
+    def get(self, slots: int, rows: int, cols: int) -> np.ndarray:
+        """A read-only ``mu'`` table of at least ``rows x cols`` entries."""
+        table = self._tables.get(slots)
+        if table is None or table.shape[0] < rows or table.shape[1] < cols:
+            if table is not None:
+                rows = max(rows, table.shape[0])
+                cols = max(cols, table.shape[1])
+            table = 1.0 - no_good_slot_table(rows - 1, cols - 1, slots)
+            table[0, :] = 0.0  # no in-range transmitter => no reception
+            table.setflags(write=False)
+            self._tables[slots] = table
+        return table
+
+
+_SHARED = _SharedTables()
+
+
 class CarrierCollisionTable:
     """Cached ``mu'`` tables with bilinear real-argument interpolation.
 
@@ -106,11 +139,8 @@ class CarrierCollisionTable:
         need1 = max(k1max + 1, self._shape[0], 8)
         need2 = max(k2max + 1, self._shape[1], 8)
         if cached is None or cached.shape[0] < need1 or cached.shape[1] < need2:
-            q = no_good_slot_table(need1 - 1, need2 - 1, slots)
-            cached = 1.0 - q
-            cached[0, :] = 0.0  # no in-range transmitter => no reception
-            self._tables[slots] = cached
-            self._shape = cached.shape
+            self._tables[slots] = _SHARED.get(slots, need1, need2)
+            self._shape = (need1, need2)
         return self._tables[slots]
 
     def mu(self, k1: ArrayLike, k2: ArrayLike, slots: int) -> float | np.ndarray:

@@ -16,7 +16,10 @@ form, which is numerically friendlier and has a clean base case:
 
 and ``mu = 1 - Q``.  The whole table ``K = 0..Kmax`` is filled in one
 vectorized sweep per bucket and cached, so repeated queries from the
-ring-model recursion are table lookups.
+ring-model recursion are table lookups.  The cache is per process: a
+table's prefix never changes as ``Kmax`` grows (entry ``k`` depends only
+on ``k`` and ``s``), so every :class:`SlotCollisionTable` shares one
+read-only table per slot count.
 """
 
 from __future__ import annotations
@@ -88,13 +91,42 @@ def mu_exact(k: int, slots: int) -> float:
     return float(1.0 - no_singleton_table(k, slots)[k])
 
 
+class _SharedTables:
+    """The longest ``mu(0..Kmax, s)`` table built so far, per slot count.
+
+    ``no_singleton_table(n, s)[: m + 1]`` equals
+    ``no_singleton_table(m, s)`` bit for bit, so the longest table gives
+    every caller the bits its own table would hold.  Tables are
+    read-only; a longer build replaces, never rewrites, the shorter one,
+    so a caller holding the shorter table keeps valid bits.  Two threads
+    may both run a missing DP; either result is the same table.
+    """
+
+    def __init__(self) -> None:
+        self._tables: dict[int, np.ndarray] = {}
+
+    def get(self, slots: int, kmax: int) -> np.ndarray:
+        """A read-only table of at least ``kmax + 1`` entries."""
+        table = self._tables.get(slots)
+        if table is None or len(table) <= kmax:
+            table = 1.0 - no_singleton_table(kmax, slots)
+            table.setflags(write=False)
+            self._tables[slots] = table
+        return table
+
+
+_SHARED = _SharedTables()
+
+
 class SlotCollisionTable:
     """Cached, growable tables of ``mu(K, s)`` for fast repeated queries.
 
     The ring-model recursion evaluates ``mu`` at every quadrature node of
     every ring of every phase; this class amortizes the DP by caching the
     full ``K = 0..Kmax`` table per slot count and doubling ``Kmax`` on
-    demand.
+    demand.  The arrays themselves come from one process-wide, read-only
+    table per slot count, so the DP runs once per process however many
+    models ask.
 
     Thread-safety: instances are not thread-safe; share one per model.
     """
@@ -104,14 +136,16 @@ class SlotCollisionTable:
         self._tables: dict[int, np.ndarray] = {}
 
     def table(self, slots: int, kmax: int | None = None) -> np.ndarray:
-        """``mu(0..Kmax, slots)`` as an array, growing the cache if needed.
+        """``mu(0..Kmax, slots)`` as a read-only array, growing the cache if needed.
 
         The grow check compares the cached table against what *this*
         query needs, not against the shared ``Kmax`` high-water mark:
         once a slot count's table covers the request it is returned
         as-is, even if a different slot count has since grown the mark.
         Rebuilds only happen when the request genuinely outgrows the
-        cache, and they double ``Kmax`` so growth stays amortized.
+        cache, and they double ``Kmax`` so growth stays amortized; a
+        rebuild runs the DP only if no table in the process is long
+        enough yet.
         """
         slots = check_positive_int("slots", slots)
         need = self._kmax if kmax is None else kmax
@@ -127,7 +161,7 @@ class SlotCollisionTable:
         while size < need:
             size *= 2
         self._kmax = size
-        table = 1.0 - no_singleton_table(size, slots)
+        table = _SHARED.get(slots, size)
         self._tables[slots] = table
         return table
 
@@ -155,7 +189,7 @@ class SlotCollisionTable:
         the ablation benchmark compares the two.
         """
         lam_arr = np.asarray(lam, dtype=float)
-        if np.any(lam_arr < 0):
+        if lam_arr.size and lam_arr.min() < 0:
             raise ValueError("expected counts must be non-negative")
         if method == "poisson":
             from repro.collision.poisson import mu_poisson
@@ -165,9 +199,10 @@ class SlotCollisionTable:
             raise ValueError(f"unknown method {method!r}")
         kmax = int(np.ceil(lam_arr.max())) + 1 if lam_arr.size else 1
         tab = self.table(slots, kmax)
-        lo = np.floor(lam_arr).astype(int)
-        frac = lam_arr - lo
-        out = (1.0 - frac) * tab[lo] + frac * tab[lo + 1]
+        floor = np.floor(lam_arr)
+        lo = floor.astype(int)
+        frac = lam_arr - floor
+        out = (1.0 - frac) * tab[lo] + frac * tab[1:][lo]
         return float(out[()]) if out.ndim == 0 else out
 
 

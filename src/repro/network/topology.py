@@ -411,6 +411,10 @@ class _StackedRepView(Topology):
     ids) is only materialized if something actually reads it — most
     policies never do, and the batched engine resolves slots on the
     stacked structure directly.
+
+    The view holds the stacked edge slice, not the stacked topology:
+    a back reference would make each block a reference cycle whose CSR
+    arrays outlive the block until the cyclic garbage collector runs.
     """
 
     def __init__(self, stacked: "StackedTopology", rep: int) -> None:
@@ -422,17 +426,14 @@ class _StackedRepView(Topology):
         self._carrier_csr = None
         e0 = int(stacked.indptr[lo])
         self.indptr = stacked.indptr[lo : hi + 1] - e0
-        self._stacked = stacked
+        self._edges = stacked.indices[e0 : int(stacked.indptr[hi])]
         self._lo = lo
-        self._hi = hi
         self._indices_local: np.ndarray | None = None
 
     @property
     def indices(self) -> np.ndarray:
-        e0 = int(self._stacked.indptr[self._lo])
-        e1 = int(self._stacked.indptr[self._hi])
         if self._indices_local is None:
-            self._indices_local = self._stacked.indices[e0:e1] - self._lo
+            self._indices_local = self._edges - self._lo
         return self._indices_local
 
 

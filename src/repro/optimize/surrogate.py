@@ -1,10 +1,14 @@
 """The cheap tier of the two-tier evaluator: the analytical ring model.
 
 Every search probe is answered by the paper's own ring recursion — a
-closed-form surrogate that costs microseconds per probability via the
-batched :meth:`~repro.analysis.ring_model.RingModel.run_batch` — so the
+closed-form surrogate evaluated by the batched
+:meth:`~repro.analysis.ring_model.RingModel.run_batch` — so the
 Monte-Carlo simulator is reserved for *verifying* the handful of
 candidates the search shortlists (see :mod:`repro.optimize.verify`).
+A probe costs about 0.3 ms in the batches of ~4 probabilities a search
+step asks for (e2e ``optimize`` workload, 88 probes per query, on a
+2-vCPU Xeon VM); the recursion's quadrature, geometry and ``mu`` tables
+are built once per process, not per query.
 
 Traces are memoized per probability: adjacent queries against one
 :class:`SurrogateModel` re-derive their metrics from cached traces

@@ -5,13 +5,15 @@ offset ``x`` over each ring of width ``r``; the integrand involves lens
 areas (smooth, with mild kinks where circles become tangent) composed
 with the slot-collision probability.  Gauss–Legendre with a modest node
 count converges quickly for these integrands, and the nodes/weights are
-precomputed once per model so the per-phase cost is a handful of
-vectorized evaluations.
+precomputed once per process — ``GaussLegendreRule.unit(n)`` hands every
+caller the same read-only instance — so the per-phase cost is a handful
+of vectorized evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,14 +42,12 @@ class GaussLegendreRule:
 
     @classmethod
     def unit(cls, n: int = 96) -> "GaussLegendreRule":
-        """Build an ``n``-point rule on ``[0, 1]``."""
-        n = check_positive_int("n", n)
-        x, w = np.polynomial.legendre.leggauss(n)
-        nodes = 0.5 * (x + 1.0)
-        weights = 0.5 * w
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return cls(n=n, nodes=nodes, weights=weights)
+        """The ``n``-point rule on ``[0, 1]``, shared per process.
+
+        The rule is immutable (frozen fields, read-only arrays), so every
+        caller asking for the same ``n`` receives the same instance.
+        """
+        return _unit_rule(check_positive_int("n", n))
 
     def integrate(self, values: np.ndarray, axis: int = -1) -> np.ndarray | float:
         """Integrate sampled values ``f(nodes)`` over ``[0, 1]``.
@@ -69,3 +69,13 @@ class GaussLegendreRule:
         if not b > a:
             raise ValueError(f"empty interval [{a}, {b}]")
         return a + (b - a) * self.nodes, (b - a) * self.weights
+
+
+@lru_cache(maxsize=None)
+def _unit_rule(n: int) -> GaussLegendreRule:
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes = 0.5 * (x + 1.0)
+    weights = 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return GaussLegendreRule(n=n, nodes=nodes, weights=weights)

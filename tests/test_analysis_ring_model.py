@@ -157,5 +157,6 @@ class TestInformedNeighbors:
         cfg = AnalysisConfig(n_rings=3, rho=25, quad_nodes=16)
         model = RingModel(cfg)
         prev = np.array([cfg.rho, 5.0, 0.0])
-        mu = model._reception_probability(2, p, prev)
+        mu = model._reception_probability(p, prev, np.arange(cfg.n_rings))
+        assert mu.shape == (cfg.n_rings, cfg.quad_nodes)
         assert np.all((mu >= 0.0) & (mu <= 1.0))
