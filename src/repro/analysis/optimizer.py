@@ -1,10 +1,16 @@
 """Optimal broadcast-probability search (the "Choose p" box of Fig. 1(b)).
 
 The paper optimizes ``p`` by sweeping a grid (0.01 .. 1.00 in steps of
-0.01 for the analysis; Sec. 4.2.3).  :func:`sweep_metric` evaluates one
-metric over such a grid reusing a single :class:`RingModel`;
-:func:`optimal_probability` picks the best grid point and can optionally
-refine it by golden-section search between its grid neighbors.
+0.01 for the analysis; Sec. 4.2.3).  Each of its four metrics (Sec. 4.1)
+is one bound and one objective of an
+:class:`~repro.optimize.spec.OptimizeQuery` (:data:`METRICS`,
+:func:`paper_query`), so every value here is read off a ring-model trace
+by :func:`~repro.optimize.spec.evaluate_trace`, the stopping rule the
+deployment planner searches with.  :func:`sweep_metric` is the
+exhaustive policy over that query (every rung of the ladder, one
+batched recursion); :func:`optimal_probability` picks the best rung
+(:func:`best_index`) and can optionally refine it by golden-section
+search between its grid neighbors.
 
 Infeasible points (a reachability target that a small ``p`` can never
 attain) evaluate to ``NaN`` in sweeps and are excluded from the optimum,
@@ -15,29 +21,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.metrics import (
-    QUIESCENCE_PHASES,
-    energy_at_reachability,
-    latency_at_reachability,
-    reachability_at_energy,
-    reachability_at_latency,
-)
+from repro.analysis.metrics import QUIESCENCE_PHASES
 from repro.analysis.ring_model import RingModel
 from repro.analysis.trace import BroadcastTrace
 from repro.errors import InfeasibleConstraintError
+from repro.optimize.search import default_probability_grid
+from repro.optimize.spec import METRIC_SENSES, OptimizeQuery, evaluate_trace
 from repro.utils.validation import check_in, check_positive
 
 __all__ = [
-    "MetricSpec",
     "METRICS",
     "OptimizationResult",
     "TradeoffCurve",
+    "best_index",
     "default_probability_grid",
+    "paper_query",
+    "trace_value",
     "sweep_metric",
     "optimal_probability",
     "tradeoff_curve",
@@ -45,70 +49,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """One optimizable metric: an evaluator plus its optimization sense.
-
-    ``evaluate`` runs one scalar recursion per call (used by the
-    golden-section refinement); grid sweeps instead run the batched
-    recursion once and extract the metric from each trace with
-    ``from_trace``, bounded by ``horizon(constraint)`` phases.
-    """
-
-    name: str
-    evaluate: Callable[[RingModel, float, float], float]
-    sense: Literal["max", "min"]
-    constraint_name: str
-    from_trace: Callable[[BroadcastTrace, float], float]
-    horizon: Callable[[float], int]
-
-    def better(self, a: float, b: float) -> bool:
-        """True if value ``a`` beats value ``b`` under this metric's sense."""
-        if math.isnan(a):
-            return False
-        if math.isnan(b):
-            return True
-        return a > b if self.sense == "max" else a < b
-
-
-def _latency_horizon(latency: float) -> int:
-    return max(1, math.ceil(check_positive("latency", latency)))
-
-
-METRICS: dict[str, MetricSpec] = {
-    "reachability_at_latency": MetricSpec(
-        "reachability_at_latency",
-        reachability_at_latency,
-        "max",
-        "latency",
-        from_trace=lambda trace, latency: trace.reachability_after(latency),
-        horizon=_latency_horizon,
-    ),
-    "latency_at_reachability": MetricSpec(
-        "latency_at_reachability",
-        latency_at_reachability,
-        "min",
-        "reachability",
-        from_trace=lambda trace, target: trace.latency_to(target),
-        horizon=lambda _: QUIESCENCE_PHASES,
-    ),
-    "energy_at_reachability": MetricSpec(
-        "energy_at_reachability",
-        energy_at_reachability,
-        "min",
-        "reachability",
-        from_trace=lambda trace, target: trace.broadcasts_to(target),
-        horizon=lambda _: QUIESCENCE_PHASES,
-    ),
-    "reachability_at_energy": MetricSpec(
-        "reachability_at_energy",
-        reachability_at_energy,
-        "max",
-        "energy budget",
-        from_trace=lambda trace, budget: trace.reachability_within_energy(budget),
-        horizon=lambda _: QUIESCENCE_PHASES,
-    ),
+#: The paper's four metrics as ``(bound, objective)`` pairs over the
+#: three broadcast metrics of :mod:`repro.optimize.spec`; a metric's
+#: constraint value is its bound.
+METRICS: dict[str, tuple[str, str]] = {
+    "reachability_at_latency": ("latency", "reachability"),
+    "latency_at_reachability": ("reachability", "latency"),
+    "energy_at_reachability": ("reachability", "energy"),
+    "reachability_at_energy": ("energy", "reachability"),
 }
+
+
+def paper_query(metric: str, constraint: float) -> OptimizeQuery:
+    """One paper metric under one constraint value, as a query."""
+    bound, objective = METRICS[check_in("metric", metric, METRICS)]
+    return OptimizeQuery(bounds={bound: constraint}, objectives=(objective,))
+
+
+def _horizon(query: OptimizeQuery) -> int:
+    """Recursion phases a query needs: its latency budget, else quiescence."""
+    latency = query.bounds.get("latency")
+    return QUIESCENCE_PHASES if latency is None else math.ceil(latency)
+
+
+def trace_value(trace: BroadcastTrace, query: OptimizeQuery) -> float:
+    """The query's first objective at ``trace.p``, ``NaN`` when infeasible."""
+    ev = evaluate_trace(trace, query)
+    return float(getattr(ev, query.objectives[0])) if ev.feasible else math.nan
+
+
+def best_index(values: np.ndarray, sense: str) -> int | None:
+    """Index of the best finite value, or ``None`` when there is none.
+
+    Non-finite entries (NaN infeasible points, inf overflow) never win,
+    and exact ties resolve to the first index: the lowest ``p`` on an
+    ascending grid, the tie-break :func:`repro.optimize.spec.better`
+    uses too.
+    """
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.any():
+        return None
+    if sense == "max":
+        return int(np.argmax(np.where(finite, values, -np.inf)))
+    return int(np.argmin(np.where(finite, values, np.inf)))
 
 
 @dataclass(frozen=True)
@@ -146,15 +130,6 @@ class OptimizationResult:
         return float(np.mean(~np.isnan(self.values)))
 
 
-def default_probability_grid(step: float = 0.01) -> np.ndarray:
-    """The paper's analysis grid: ``step, 2*step, ..., 1.0``."""
-    step = check_positive("step", step)
-    if step > 1.0:
-        raise ValueError("grid step cannot exceed 1")
-    n = int(round(1.0 / step))
-    return np.linspace(step, n * step, n)
-
-
 # Closed-form analytical sweep; the ring recursion is deterministic and
 # draws no random numbers, so there is no seed to thread.
 def sweep_metric(
@@ -171,26 +146,23 @@ def sweep_metric(
         ``values[i]`` is the metric at ``p_grid[i]``, ``NaN`` where the
         constraint is infeasible.
     """
-    spec: MetricSpec = METRICS[check_in("metric", metric, METRICS)]
+    query = paper_query(metric, constraint)
     model = config if isinstance(config, RingModel) else RingModel(config)
     grid = default_probability_grid() if p_grid is None else np.asarray(p_grid, float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("p_grid must be a non-empty 1-D array")
-    # One batched recursion evaluates the whole grid; per-point metric
-    # extraction from the traces is identical to spec.evaluate(model, p, c).
-    traces = model.run_batch(grid, max_phases=spec.horizon(constraint))
-    values = np.empty(grid.size)
-    for i, trace in enumerate(traces):
-        try:
-            values[i] = spec.from_trace(trace, constraint)
-        except InfeasibleConstraintError:
-            values[i] = np.nan
-    return grid, values
+    # One batched recursion evaluates the whole grid.
+    traces = model.run_batch(grid, max_phases=_horizon(query))
+    return grid, np.array([trace_value(trace, query) for trace in traces])
+
+
+def _better(a: float, b: float, sense: str) -> bool:
+    return a > b if sense == "max" else a < b
 
 
 def _golden_refine(
     evaluate: Callable[[float], float],
-    spec: MetricSpec,
+    sense: str,
     lo: float,
     hi: float,
     *,
@@ -198,16 +170,14 @@ def _golden_refine(
 ) -> tuple[float, float]:
     """Golden-section search for a unimodal metric on ``[lo, hi]``.
 
-    Infeasible evaluations are treated as worst-possible, which pushes
-    the search back into the feasible region.
+    Infeasible (``NaN``) evaluations are treated as worst-possible,
+    which pushes the search back into the feasible region.
     """
-    worst = -math.inf if spec.sense == "max" else math.inf
+    worst = -math.inf if sense == "max" else math.inf
 
     def f(p: float) -> float:
-        try:
-            return evaluate(p)
-        except InfeasibleConstraintError:
-            return worst
+        value = evaluate(p)
+        return worst if math.isnan(value) else value
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -215,7 +185,7 @@ def _golden_refine(
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iterations):
-        if spec.better(fc, fd):
+        if _better(fc, fd, sense):
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
@@ -223,7 +193,7 @@ def _golden_refine(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    p_best = c if spec.better(fc, fd) else d
+    p_best = c if _better(fc, fd, sense) else d
     return p_best, f(p_best)
 
 
@@ -298,14 +268,17 @@ def tradeoff_curve(
     of this frontier.
     """
     latency = check_positive("latency", latency)
+    query = OptimizeQuery(
+        bounds={"latency": latency}, objectives=("reachability", "energy")
+    )
     model = config if isinstance(config, RingModel) else RingModel(config)
     grid = default_probability_grid() if p_grid is None else np.asarray(p_grid, float)
     reach = np.empty(grid.size)
     energy = np.empty(grid.size)
-    horizon = max(1, math.ceil(latency))
-    for i, trace in enumerate(model.run_batch(grid, max_phases=horizon)):
-        reach[i] = trace.reachability_after(latency)
-        energy[i] = trace.broadcasts_at(latency)
+    for i, trace in enumerate(model.run_batch(grid, max_phases=_horizon(query))):
+        ev = evaluate_trace(trace, query)
+        reach[i] = ev.reachability
+        energy[i] = ev.energy
     # Pareto filter: efficient iff no point strictly dominates.
     efficient = np.ones(grid.size, dtype=bool)
     for i in range(grid.size):
@@ -356,29 +329,31 @@ def optimal_probability(
     InfeasibleConstraintError
         If no grid point satisfies the constraint.
     """
-    spec: MetricSpec = METRICS[check_in("metric", metric, METRICS)]
+    query = paper_query(metric, constraint)
+    sense = METRIC_SENSES[query.objectives[0]]
     model = config if isinstance(config, RingModel) else RingModel(config)
     grid, values = sweep_metric(model, metric, constraint, p_grid)
-    if np.all(np.isnan(values)):
+    best = best_index(values, sense)
+    if best is None:
         raise InfeasibleConstraintError(
             f"{metric} with constraint {constraint} is infeasible for every "
             f"swept probability (rho={model.config.rho})"
         )
-    if spec.sense == "max":
-        best_idx = int(np.nanargmax(values))
-    else:
-        best_idx = int(np.nanargmin(values))
-    p_best = float(grid[best_idx])
-    v_best = float(values[best_idx])
+    p_best = float(grid[best])
+    v_best = float(values[best])
 
     if refine and grid.size >= 2:
-        lo = float(grid[max(best_idx - 1, 0)])
-        hi = float(grid[min(best_idx + 1, grid.size - 1)])
+        lo = float(grid[max(best - 1, 0)])
+        hi = float(grid[min(best + 1, grid.size - 1)])
         if hi > lo:
+            horizon = _horizon(query)
             p_ref, v_ref = _golden_refine(
-                lambda p: spec.evaluate(model, p, constraint), spec, lo, hi
+                lambda p: trace_value(model.run(p, max_phases=horizon), query),
+                sense,
+                lo,
+                hi,
             )
-            if spec.better(v_ref, v_best):
+            if _better(v_ref, v_best, sense):
                 p_best, v_best = float(p_ref), float(v_ref)
 
     return OptimizationResult(

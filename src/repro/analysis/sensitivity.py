@@ -26,9 +26,10 @@ from repro.analysis.optimizer import (
     METRICS,
     default_probability_grid,
     optimal_probability,
+    sweep_metric,
 )
 from repro.analysis.ring_model import RingModel
-from repro.errors import InfeasibleConstraintError
+from repro.optimize.spec import METRIC_SENSES
 from repro.utils.validation import check_fraction, check_in
 
 __all__ = [
@@ -37,6 +38,12 @@ __all__ = [
     "MismatchResult",
     "density_mismatch_penalty",
 ]
+
+
+def _sense(metric: str) -> str:
+    """Whether a paper metric is maximized or minimized."""
+    _, objective = METRICS[check_in("metric", metric, METRICS)]
+    return METRIC_SENSES[objective]
 
 
 @dataclass(frozen=True)
@@ -85,10 +92,10 @@ def robust_probability_band(
 ) -> RobustnessBand:
     """Compute the near-optimal tolerance band for one paper metric."""
     check_fraction("tolerance", tolerance)
-    spec = METRICS[check_in("metric", metric, METRICS)]
+    sense = _sense(metric)
     result = optimal_probability(config, metric, constraint, p_grid=p_grid)
     grid, values = result.p_grid, result.values
-    if spec.sense == "max":
+    if sense == "max":
         ok = values >= result.value * (1.0 - tolerance)
     else:
         ok = values <= result.value * (1.0 + tolerance)
@@ -158,21 +165,18 @@ def density_mismatch_penalty(
     of tuning from a locally observable success rate instead of a
     density estimate.
     """
-    spec = METRICS[check_in("metric", metric, METRICS)]
+    sense = _sense(metric)
     grid = default_probability_grid() if p_grid is None else np.asarray(p_grid, float)
     assumed = optimal_probability(
         config.with_rho(rho_assumed), metric, constraint, p_grid=grid
     )
     actual_opt = optimal_probability(config, metric, constraint, p_grid=grid)
-    model = RingModel(config)
-    try:
-        achieved = spec.evaluate(model, assumed.p, constraint)
-    except InfeasibleConstraintError:
-        achieved = float("nan")
+    # A one-rung sweep: the metric at the true density, at the tuned p.
+    _, (achieved,) = sweep_metric(config, metric, constraint, np.array([assumed.p]))
 
     if np.isnan(achieved):
         efficiency = 0.0
-    elif spec.sense == "max":
+    elif sense == "max":
         efficiency = achieved / actual_opt.value if actual_opt.value else 1.0
     else:
         efficiency = actual_opt.value / achieved if achieved else 1.0

@@ -18,6 +18,7 @@ phase, so curves are piecewise-linear between phase boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,12 +91,12 @@ class BroadcastTrace:
         """Expected total broadcasts over the whole trace (the metric ``M``)."""
         return float(self.broadcasts_by_phase.sum())
 
-    @property
+    @cached_property
     def cumulative_reachability(self) -> np.ndarray:
         """Reachability at the end of each phase: ``cum_informed / N``."""
         return np.cumsum(self.new_by_phase) / self.config.n_nodes
 
-    @property
+    @cached_property
     def cumulative_broadcasts(self) -> np.ndarray:
         """Cumulative broadcasts at the end of each phase."""
         return np.cumsum(self.broadcasts_by_phase)

@@ -8,12 +8,14 @@ to quiescence once and every metric is post-processed from the same
 traces), so regenerating the full evaluation costs one sweep + one
 grid.
 
-The optimal-``p`` panels (4b–7b, 12) ride :mod:`repro.optimize`: when a
-dense analytical sweep is already cached (the a-panel ran first) the
-optimum is read straight off it, otherwise the adaptive frontier search
-probes only the rungs it needs — the hillclimb's lowest-``p`` tie-break
-reproduces the dense grid's first-index ``argmax``/``argmin`` exactly,
-so both paths return the same point (pinned by tests).
+Every analytic value is one of the paper's four metrics read off a
+trace as a :func:`~repro.analysis.optimizer.paper_query` (the stopping
+rule :mod:`repro.optimize` searches with), and every optimal-``p``
+panel (4b–7b, 8b–11b, 12) is the first best finite rung of a dense
+sweep (:func:`~repro.analysis.optimizer.best_index`).  A b-panel
+generated alone computes its densities' sweeps itself: the batched
+recursion costs one array step per phase over all probabilities, so
+the whole ladder is cheaper than an adaptive search over it.
 
 Every generator takes an :class:`~repro.experiments.params.ExperimentScale`
 and returns a :class:`~repro.experiments.report.FigureResult`.
@@ -26,14 +28,12 @@ from typing import Callable
 import numpy as np
 
 from repro.analysis.flooding import flooding_success_rate
+from repro.analysis.metrics import QUIESCENCE_PHASES
+from repro.analysis.optimizer import METRICS, best_index, paper_query, trace_value
 from repro.analysis.ring_model import RingModel
-from repro.analysis.trace import BroadcastTrace
-from repro.errors import InfeasibleConstraintError
 from repro.experiments.params import ExperimentScale, PaperParams
 from repro.experiments.report import FigureResult
-from repro.optimize.search import search_frontier
-from repro.optimize.spec import OptimizeQuery, better, evaluate_trace
-from repro.optimize.surrogate import SurrogateModel
+from repro.optimize.spec import METRIC_SENSES, OptimizeQuery
 from repro.sim.results import RunResult, aggregate_metric
 from repro.sim.runner import sweep_grid
 
@@ -44,8 +44,20 @@ __all__ = ["FIGURES", "generate_figure", "analysis_sweep", "simulation_grid"]
 # ----------------------------------------------------------------------
 _ANALYSIS_CACHE: dict[tuple, dict[str, np.ndarray]] = {}
 _SIM_CACHE: dict[tuple, dict[float, list[RunResult]]] = {}
-_SURROGATE_CACHE: dict[tuple, SurrogateModel] = {}
-_OPTIMUM_CACHE: dict[tuple, dict[str, float]] = {}
+
+#: The analysis constraint of each bound (Sec. 4.2.3).
+_ANALYSIS_BOUNDS = {
+    "latency": PaperParams.LATENCY_BUDGET_PHASES,
+    "reachability": PaperParams.ANALYSIS_REACH_TARGET,
+    "energy": PaperParams.ANALYSIS_ENERGY_BUDGET,
+}
+
+#: The four metric sweeps of Figs. 4–7, keyed as :func:`analysis_sweep`
+#: returns them (``"reach_at_latency"`` is ``reachability_at_latency``).
+_METRIC_QUERIES: dict[str, OptimizeQuery] = {
+    name.replace("reachability", "reach"): paper_query(name, _ANALYSIS_BOUNDS[bound])
+    for name, (bound, _objective) in METRICS.items()
+}
 
 
 def _scale_key(scale: ExperimentScale) -> tuple:
@@ -70,34 +82,15 @@ def analysis_sweep(scale: ExperimentScale, rho: float) -> dict[str, np.ndarray]:
     key = (_scale_key(scale), float(rho))
     if key in _ANALYSIS_CACHE:
         return _ANALYSIS_CACHE[key]
-    model = RingModel(scale.analysis_config(rho))
     grid = scale.analysis_p_grid
-    out = {
-        "p": grid,
-        "reach_at_latency": np.empty(grid.size),
-        "latency_at_reach": np.empty(grid.size),
-        "energy_at_reach": np.empty(grid.size),
-        "reach_at_energy": np.empty(grid.size),
-    }
     # One batched recursion covers the whole probability grid; each
     # quiescent trace then yields all four metrics.
-    for i, trace in enumerate(model.run_batch(grid, max_phases=200)):
-        out["reach_at_latency"][i] = trace.reachability_after(
-            PaperParams.LATENCY_BUDGET_PHASES
-        )
-        try:
-            out["latency_at_reach"][i] = trace.latency_to(
-                PaperParams.ANALYSIS_REACH_TARGET
-            )
-            out["energy_at_reach"][i] = trace.broadcasts_to(
-                PaperParams.ANALYSIS_REACH_TARGET
-            )
-        except InfeasibleConstraintError:
-            out["latency_at_reach"][i] = np.nan
-            out["energy_at_reach"][i] = np.nan
-        out["reach_at_energy"][i] = trace.reachability_within_energy(
-            PaperParams.ANALYSIS_ENERGY_BUDGET
-        )
+    traces = RingModel(scale.analysis_config(rho)).run_batch(
+        grid, max_phases=QUIESCENCE_PHASES
+    )
+    out = {"p": grid}
+    for mk, query in _METRIC_QUERIES.items():
+        out[mk] = np.array([trace_value(trace, query) for trace in traces])
     _ANALYSIS_CACHE[key] = out
     return out
 
@@ -141,8 +134,6 @@ def clear_caches() -> None:
     """Drop cached sweeps/grids (mainly for benchmark isolation)."""
     _ANALYSIS_CACHE.clear()
     _SIM_CACHE.clear()
-    _SURROGATE_CACHE.clear()
-    _OPTIMUM_CACHE.clear()
 
 
 # ----------------------------------------------------------------------
@@ -158,82 +149,6 @@ def _per_rho_series(
     return grid, series
 
 
-def _optimum(values: np.ndarray, sense: str) -> int | None:
-    """Index of the best finite value, or ``None`` when there is none.
-
-    Non-finite entries (NaN infeasible points, inf overflow) never win,
-    and exact ties resolve to the first index — the lowest ``p`` — which
-    is the convention the adaptive search's tie-break mirrors.
-    """
-    values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values)
-    if not finite.any():
-        return None
-    if sense == "max":
-        return int(np.argmax(np.where(finite, values, -np.inf)))
-    return int(np.argmin(np.where(finite, values, np.inf)))
-
-
-#: The four metric sweeps of Figs. 4–7 as optimizer queries: metric key
-#: to (query, Evaluation attribute carrying the value, optimal sense).
-_METRIC_QUERIES: dict[str, tuple[OptimizeQuery, str, str]] = {
-    "reach_at_latency": (
-        OptimizeQuery(
-            bounds={"latency": PaperParams.LATENCY_BUDGET_PHASES},
-            objectives=("reachability",),
-        ),
-        "reachability",
-        "max",
-    ),
-    "latency_at_reach": (
-        OptimizeQuery(
-            bounds={"reachability": PaperParams.ANALYSIS_REACH_TARGET},
-            objectives=("latency",),
-        ),
-        "latency",
-        "min",
-    ),
-    "energy_at_reach": (
-        OptimizeQuery(
-            bounds={"reachability": PaperParams.ANALYSIS_REACH_TARGET},
-            objectives=("energy",),
-        ),
-        "energy",
-        "min",
-    ),
-    "reach_at_energy": (
-        OptimizeQuery(
-            bounds={"energy": PaperParams.ANALYSIS_ENERGY_BUDGET},
-            objectives=("reachability",),
-        ),
-        "reachability",
-        "max",
-    ),
-}
-
-
-def _trace_metric(trace: BroadcastTrace, metric_key: str) -> float:
-    """One analytic metric off a quiescent trace (NaN when infeasible).
-
-    Bit-identical to the corresponding :func:`analysis_sweep` array
-    entry: the optimizer's stopping rule reproduces the trace methods
-    the sweep calls directly.
-    """
-    query, attr, _ = _METRIC_QUERIES[metric_key]
-    ev = evaluate_trace(trace, query)
-    return float(getattr(ev, attr)) if ev.feasible else float("nan")
-
-
-def _surrogate(scale: ExperimentScale, rho: float) -> SurrogateModel:
-    key = (_scale_key(scale), float(rho))
-    model = _SURROGATE_CACHE.get(key)
-    if model is None:
-        model = _SURROGATE_CACHE[key] = SurrogateModel(
-            scale.analysis_config(rho), max_phases=200
-        )
-    return model
-
-
 def _optimal_point(
     scale: ExperimentScale, rho: float, metric_key: str
 ) -> dict[str, float]:
@@ -241,54 +156,15 @@ def _optimal_point(
 
     Returns ``p`` (NaN when no feasible probability exists), all four
     metric values at that ``p``, and the flooding (``p = 1``) values as
-    ``flooding_<metric>``.  Reads the dense sweep when it is cached (the
-    a-panel already paid for it); otherwise runs the adaptive frontier
-    search, probing only the rungs the hillclimb visits.  Both paths
-    return the same point: the search's lowest-``p`` tie-break matches
-    the dense grid's first-index convention (pinned by tests).
+    ``flooding_<metric>``, all read off :func:`analysis_sweep`.
     """
-    key = (_scale_key(scale), float(rho), metric_key)
-    if key in _OPTIMUM_CACHE:
-        return _OPTIMUM_CACHE[key]
-    grid = scale.analysis_p_grid
-    query, _attr, sense = _METRIC_QUERIES[metric_key]
-    point: dict[str, float] = {}
-    dense = _ANALYSIS_CACHE.get((_scale_key(scale), float(rho)))
-    if dense is not None:
-        i = _optimum(dense[metric_key], sense)
-        point["p"] = float(grid[i]) if i is not None else float("nan")
-        for mk in _METRIC_QUERIES:
-            point[mk] = float(dense[mk][i]) if i is not None else float("nan")
-            point[f"flooding_{mk}"] = float(dense[mk][-1])
-    else:
-        model = _surrogate(scale, rho)
-        outcome = search_frontier(
-            lambda rungs: model.evaluate(query, [float(grid[r]) for r in rungs]),
-            grid,
-            query,
-            None,
-            restarts=0,
-        )
-        best: int | None = None
-        for rung in sorted(outcome.evaluations):
-            ev = outcome.evaluations[rung]
-            if not ev.feasible:
-                continue
-            if best is None or better(ev, outcome.evaluations[best], query):
-                best = rung
-        if best is None:
-            point["p"] = float("nan")
-            for mk in _METRIC_QUERIES:
-                point[mk] = float("nan")
-        else:
-            point["p"] = float(grid[best])
-            trace = model.trace(float(grid[best]))
-            for mk in _METRIC_QUERIES:
-                point[mk] = _trace_metric(trace, mk)
-        flood = model.trace(float(grid[-1]))
-        for mk in _METRIC_QUERIES:
-            point[f"flooding_{mk}"] = _trace_metric(flood, mk)
-    _OPTIMUM_CACHE[key] = point
+    dense = analysis_sweep(scale, rho)
+    sense = METRIC_SENSES[_METRIC_QUERIES[metric_key].objectives[0]]
+    i = best_index(dense[metric_key], sense)
+    point = {"p": float(dense["p"][i]) if i is not None else float("nan")}
+    for mk in _METRIC_QUERIES:
+        point[mk] = float(dense[mk][i]) if i is not None else float("nan")
+        point[f"flooding_{mk}"] = float(dense[mk][-1])
     return point
 
 
@@ -495,7 +371,7 @@ def _sim_figure_pair(
     opt_p, opt_v = [], []
     for rho in scale.rho_grid:
         sweep = series[f"rho={rho}"]
-        i = _optimum(sweep, sense)
+        i = best_index(sweep, sense)
         opt_p.append(grid[i] if i is not None else np.nan)
         opt_v.append(sweep[i] if i is not None else np.nan)
     panel_b = FigureResult(

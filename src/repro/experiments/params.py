@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.config import AnalysisConfig
+from repro.optimize.search import default_probability_grid
 from repro.sim.config import SimulationConfig
 
 __all__ = ["PaperParams", "ExperimentScale"]
@@ -144,14 +145,12 @@ class ExperimentScale:
     @property
     def analysis_p_grid(self) -> np.ndarray:
         """Probability grid for analytical sweeps."""
-        n = int(round(1.0 / self.analysis_p_step))
-        return np.linspace(self.analysis_p_step, n * self.analysis_p_step, n)
+        return default_probability_grid(self.analysis_p_step)
 
     @property
     def sim_p_grid(self) -> np.ndarray:
         """Probability grid for simulated sweeps."""
-        n = int(round(1.0 / self.sim_p_step))
-        return np.linspace(self.sim_p_step, n * self.sim_p_step, n)
+        return default_probability_grid(self.sim_p_step)
 
     def analysis_config(self, rho: float) -> AnalysisConfig:
         """The analytical configuration at density ``rho``."""

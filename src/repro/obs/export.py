@@ -68,8 +68,9 @@ def to_chrome_trace(spans: Iterable[SpanEvent]) -> dict:
 
     Every span becomes one ``"ph": "X"`` (complete) event; ``ts``/``dur``
     are integer microseconds.  Viewers nest events per ``(pid, tid)`` by
-    timestamp containment, which matches the parent links because spans
-    nest per thread by construction.
+    timestamp containment, which matches the parent links of synchronous
+    code; spans of coroutines interleaved on one thread can overlap
+    there, and their ``parent_id`` args carry the true tree.
     """
     events: list[dict] = []
     for s in sorted(spans, key=lambda s: (s.start, s.span_id)):

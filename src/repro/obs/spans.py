@@ -4,8 +4,8 @@ Slot-level tracing (:mod:`repro.obs.trace`) answers "what happened
 *inside* a simulation run"; spans answer "where did the *wall time* of a
 whole pipeline invocation go" — runner → store → engine → optimize.  A
 span is one timed region with a name, a category, a parent link (spans
-nest per thread), and optional counters (cache hits, slots advanced,
-bytes written) attached when it closes.
+nest per thread and per asyncio task), and optional counters (cache
+hits, slots advanced, bytes written) attached when it closes.
 
 Design constraints, mirroring the tracer:
 
@@ -26,7 +26,9 @@ Design constraints, mirroring the tracer:
    ``prof.begin(...)``/``prof.end(...)`` attribute call outside
    :mod:`repro.obs` is a finding.
 2. **Thread- and process-safe identity.**  Span ids are allocated under
-   a lock; the parent stack is thread-local; every emitted
+   a lock; the parent stack is a context variable, so it is per thread
+   and per asyncio task (coroutines gathered on one event loop each
+   nest under the span open where they were created); every emitted
    :class:`SpanEvent` carries ``pid``/``tid``, so merged traces from
    several threads (or JSONL files from several processes) stay
    attributable.  Like trace sinks, span sinks are *not* inherited by
@@ -51,6 +53,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, ParamSpec, Protocol, TypeVar
 
@@ -176,13 +179,6 @@ class SpanBuffer:
         return len(self._spans)
 
 
-class _ThreadStacks(threading.local):
-    """Per-thread open-span stack (parent links are per thread)."""
-
-    def __init__(self) -> None:
-        self.stack: list[Span] = []
-
-
 class SpanProfiler:
     """Fan-out point for span events, with pluggable sinks.
 
@@ -195,7 +191,10 @@ class SpanProfiler:
         self.enabled = False
         self._lock = threading.Lock()
         self._next_id = 1
-        self._stacks = _ThreadStacks()
+        # Open spans, innermost last; per thread and per asyncio task.
+        self._stack: ContextVar[tuple[Span, ...]] = ContextVar(
+            "repro_open_spans", default=()
+        )
         self._epoch = time.perf_counter()
 
     # ------------------------------------------------------------------
@@ -223,14 +222,14 @@ class SpanProfiler:
     # span lifecycle
     # ------------------------------------------------------------------
     def begin(self, name: str, cat: str = "") -> Span:
-        """Open a span as a child of this thread's innermost open span."""
+        """Open a span as a child of this context's innermost open span."""
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-        stack = self._stacks.stack
+        stack = self._stack.get()
         parent_id = stack[-1].span_id if stack else None
         handle = Span(self, name, cat, span_id, parent_id, time.perf_counter())
-        stack.append(handle)
+        self._stack.set((*stack, handle))
         return handle
 
     def end(self, handle: Span, **counters: float) -> SpanEvent:
@@ -239,13 +238,11 @@ class SpanProfiler:
 
     def _finish(self, handle: Span, counters: dict[str, float]) -> SpanEvent:
         dur = time.perf_counter() - handle._t0
-        stack = self._stacks.stack
+        stack = self._stack.get()
         if handle in stack:
-            # Pop through any abandoned (never-ended) children so later
+            # Drop any abandoned (never-ended) children too, so later
             # spans do not parent onto a dead handle.
-            while stack:
-                if stack.pop() is handle:
-                    break
+            self._stack.set(stack[: stack.index(handle)])
         merged = handle.counters
         for key, value in counters.items():
             merged[key] = merged.get(key, 0.0) + float(value)

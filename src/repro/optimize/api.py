@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.optimizer import default_probability_grid
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import provenance as obs_provenance
@@ -29,7 +28,11 @@ from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.obs.events import SearchStep
 from repro.optimize.frontier import FrontierSet
-from repro.optimize.search import SearchOutcome, search_frontier
+from repro.optimize.search import (
+    SearchOutcome,
+    default_probability_grid,
+    search_frontier,
+)
 from repro.optimize.spec import Evaluation, OptimizeQuery, better
 from repro.optimize.surrogate import SurrogateModel
 from repro.optimize.verify import select_candidates, verify_candidates

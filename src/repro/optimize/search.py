@@ -15,15 +15,18 @@ Every evaluation ever probed feeds the :class:`FrontierSet`, so the
 search returns both the frontier and the full probe log (which the
 verification tier mines for near-optimal candidates).
 
-The ladder is a *fixed* grid (``rung`` = index, ``p = (rung+1) *
-resolution``): making probe positions — and therefore the per-rung
-Monte-Carlo verification seeds of :func:`candidate_seed` — a function
-of the rung alone is what lets repeated or adjacent queries warm-start
-from the result store with zero new simulator tasks.
+The ladder is a *fixed* grid (:func:`default_probability_grid`:
+``rung`` = index, ``p = (rung+1) * resolution``, never above 1): making
+probe positions — and therefore the per-rung Monte-Carlo verification
+seeds of :func:`candidate_seed` — a function of the rung alone is what
+lets repeated or adjacent queries warm-start from the result store with
+zero new simulator tasks.  The paper's dense sweeps (Sec. 4.2.3) walk
+the same ladder: every rung, no search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,8 +36,10 @@ from repro.errors import ConfigurationError
 from repro.optimize.frontier import FrontierSet
 from repro.optimize.spec import Evaluation, OptimizeQuery, better
 from repro.utils.rng import SeedLike, as_seed_sequence
+from repro.utils.validation import check_positive
 
 __all__ = [
+    "default_probability_grid",
     "SEED_NAMESPACE",
     "RESTART_NAMESPACE",
     "candidate_seed",
@@ -52,6 +57,20 @@ RESTART_NAMESPACE = 0x6F71
 
 #: Quantiles of the ladder probed as deterministic shotgun inits.
 _INIT_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def default_probability_grid(step: float = 0.01) -> np.ndarray:
+    """The probability ladder ``step, 2*step, ...`` up to the last rung <= 1.
+
+    The default is the paper's analysis grid, 0.01..1.00.  A step that
+    does not divide 1 stops short of it (0.15 ends at 0.90), because
+    every rung must be a probability.
+    """
+    step = check_positive("step", step)
+    if step > 1.0:
+        raise ConfigurationError(f"grid step cannot exceed 1, got {step}")
+    n = math.floor(1.0 / step + 1e-9)
+    return np.linspace(step, n * step, n)
 
 
 def candidate_seed(seed: SeedLike, rung: int) -> np.random.SeedSequence:

@@ -3,11 +3,13 @@
 A deployment question — "best ``p`` for my network under these
 constraints" — is an :class:`OptimizeQuery`: each of the paper's three
 broadcast metrics (reachability, latency in phases, energy as expected
-transmissions) is either a *hard bound* or an *objective*.  The four
-single-metric optima of the paper's Figs. 4–7 are the four
-one-bound/one-objective corners of this space, and
-:func:`evaluate_trace` reproduces them bit-for-bit against
-:func:`repro.analysis.optimizer.sweep_metric` (pinned by tests):
+transmissions) is either a *hard bound* or an *objective*.  The paper's
+four metrics (Figs. 4–7) are the four one-bound/one-objective corners
+of this space (:data:`repro.analysis.optimizer.METRICS`), so the
+analytical sweeps and optima read every value through
+:func:`evaluate_trace`, which matches the corresponding
+:class:`~repro.analysis.trace.BroadcastTrace` metric method bit for bit
+(pinned by tests):
 
 * bound ``latency <= L``, maximize reachability  — Fig. 4,
 * bound ``reachability >= R``, minimize latency  — Fig. 5,
@@ -177,9 +179,10 @@ def _budget_time(trace: BroadcastTrace, budget: float) -> float:
 def evaluate_trace(trace: BroadcastTrace, query: OptimizeQuery) -> Evaluation:
     """Evaluate one analytical trace under a query's stopping rule.
 
-    For each of the paper's four single-metric queries this reproduces
-    the corresponding :data:`~repro.analysis.optimizer.METRICS` entry
-    bit-for-bit; combined bounds compose through the shared ``t_stop``.
+    For each of the paper's four single-metric queries the objective is
+    bit-identical to the trace's own metric method (``reachability_after``,
+    ``latency_to``, ``broadcasts_to``, ``reachability_within_energy``);
+    combined bounds compose through the shared ``t_stop``.
     """
     bounds = query.bounds
     t_cap = float(trace.phases)

@@ -85,10 +85,6 @@ class SurrogateModel:
         """The analytical configuration the surrogate runs under."""
         return self.model.config
 
-    def trace(self, p: float) -> BroadcastTrace:
-        """The (memoized) quiescent trace at one probability."""
-        return self.traces([p])[0]
-
     def traces(self, ps: Sequence[float]) -> list[BroadcastTrace]:
         """Memoized traces for a batch of probabilities.
 

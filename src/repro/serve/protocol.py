@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError, ServeError
-from repro.optimize.spec import METRIC_NAMES, OptimizeQuery
+from repro.optimize.spec import OptimizeQuery
 from repro.store.keys import canonical_json
 
 __all__ = [
@@ -216,7 +216,3 @@ def request_key(request: ServeRequest) -> str:
         "alignment": request.alignment,
     }
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
-
-
-#: Metric names re-exported for CLI help text.
-METRICS = METRIC_NAMES

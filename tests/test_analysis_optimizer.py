@@ -8,9 +8,11 @@ from repro.analysis.optimizer import (
     METRICS,
     default_probability_grid,
     optimal_probability,
+    paper_query,
     sweep_metric,
 )
 from repro.errors import ConfigurationError, InfeasibleConstraintError
+from repro.optimize.spec import METRIC_SENSES
 
 
 @pytest.fixture
@@ -37,6 +39,28 @@ class TestGrid:
             default_probability_grid(0.0)
         with pytest.raises(ValueError):
             default_probability_grid(2.0)
+
+    @pytest.mark.parametrize(
+        "step,top,rungs", [(0.15, 0.9, 6), (0.55, 0.55, 1), (0.6, 0.6, 1)]
+    )
+    def test_step_not_dividing_one_stops_below_it(self, step, top, rungs):
+        grid = default_probability_grid(step)
+        assert len(grid) == rungs
+        assert grid[-1] == pytest.approx(top)
+        assert grid[-1] <= 1.0
+
+    @pytest.mark.parametrize("step", [0.001, 0.003, 0.01, 0.02, 0.05, 0.07, 0.3])
+    def test_grids_within_one_unchanged(self, step):
+        n = int(round(1.0 / step))
+        expected = np.linspace(step, n * step, n)
+        assert expected[-1] <= 1.0
+        np.testing.assert_array_equal(default_probability_grid(step), expected)
+
+    def test_no_rung_above_one(self):
+        for k in range(1, 1001):
+            grid = default_probability_grid(k / 1000)
+            assert len(grid) >= 1
+            assert grid.max() <= 1.0
 
 
 class TestSweep:
@@ -181,11 +205,32 @@ class TestMetricSpecs:
             "reachability_at_energy",
         }
 
-    def test_better_handles_nan(self):
-        spec = METRICS["reachability_at_latency"]
-        assert spec.better(0.5, float("nan"))
-        assert not spec.better(float("nan"), 0.5)
-
     def test_sense_direction(self):
-        assert METRICS["reachability_at_latency"].better(0.9, 0.5)
-        assert METRICS["energy_at_reachability"].better(10.0, 20.0)
+        senses = {
+            metric: METRIC_SENSES[paper_query(metric, 0.5).objectives[0]]
+            for metric in METRICS
+        }
+        assert senses == {
+            "reachability_at_latency": "max",
+            "latency_at_reachability": "min",
+            "energy_at_reachability": "min",
+            "reachability_at_energy": "max",
+        }
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("constraint", [0.0, -1.0, float("inf"), float("nan")])
+    def test_invalid_constraint_rejected(self, cfg, metric, constraint):
+        with pytest.raises(ConfigurationError):
+            sweep_metric(cfg, metric, constraint, COARSE)
+        with pytest.raises(ConfigurationError):
+            optimal_probability(cfg, metric, constraint, p_grid=COARSE)
+
+    @pytest.mark.parametrize(
+        "metric", ["latency_at_reachability", "energy_at_reachability"]
+    )
+    @pytest.mark.parametrize("target", [1.0, 1.5])
+    def test_unattainable_reachability_target_rejected(self, cfg, metric, target):
+        with pytest.raises(ConfigurationError):
+            sweep_metric(cfg, metric, target, COARSE)
+        with pytest.raises(ConfigurationError):
+            optimal_probability(cfg, metric, target, p_grid=COARSE)

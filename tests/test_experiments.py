@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.analysis.optimizer import best_index
+from repro.errors import ConfigurationError
 from repro.experiments.figures import (
     FIGURES,
     analysis_sweep,
@@ -38,6 +40,33 @@ class TestParams:
         assert cfg.rho == 80 and cfg.n_rings == 5
         sim = scale.simulation_config(80)
         assert sim.analysis.rho == 80
+
+    def test_step_not_dividing_one(self):
+        scale = ExperimentScale(
+            name="odd-step",
+            rho_grid=(20,),
+            analysis_p_step=0.15,
+            sim_p_step=0.6,
+            replications=1,
+        )
+        assert scale.analysis_p_grid[-1] == pytest.approx(0.9)
+        np.testing.assert_array_equal(scale.sim_p_grid, [0.6])
+        fig = generate_figure("fig4a", scale)
+        assert np.asarray(fig.x_values).max() <= 1.0
+        clear_caches()
+
+    def test_zero_step_rejected(self):
+        scale = ExperimentScale(
+            name="zero-step",
+            rho_grid=(20,),
+            analysis_p_step=0,
+            sim_p_step=0,
+            replications=1,
+        )
+        with pytest.raises(ConfigurationError):
+            _ = scale.analysis_p_grid
+        with pytest.raises(ConfigurationError):
+            _ = scale.sim_p_grid
 
 
 class TestRegistry:
@@ -235,45 +264,34 @@ class TestCli:
 
 
 class TestOptimum:
-    """The hardened dense-grid argmax/argmin helper."""
+    """The first-best-finite-index helper every optimum reads through."""
 
     def test_max_and_min(self):
-        from repro.experiments.figures import _optimum
-
-        assert _optimum(np.array([0.1, 0.9, 0.5]), "max") == 1
-        assert _optimum(np.array([0.1, 0.9, 0.5]), "min") == 0
+        assert best_index(np.array([0.1, 0.9, 0.5]), "max") == 1
+        assert best_index(np.array([0.1, 0.9, 0.5]), "min") == 0
 
     def test_nan_entries_never_win(self):
-        from repro.experiments.figures import _optimum
-
-        assert _optimum(np.array([np.nan, 2.0, 1.0]), "min") == 2
-        assert _optimum(np.array([np.nan, 2.0, 1.0]), "max") == 1
+        assert best_index(np.array([np.nan, 2.0, 1.0]), "min") == 2
+        assert best_index(np.array([np.nan, 2.0, 1.0]), "max") == 1
 
     def test_inf_entries_never_win(self):
-        from repro.experiments.figures import _optimum
-
-        assert _optimum(np.array([np.inf, 2.0]), "max") == 1
-        assert _optimum(np.array([-np.inf, 2.0]), "min") == 1
+        assert best_index(np.array([np.inf, 2.0]), "max") == 1
+        assert best_index(np.array([-np.inf, 2.0]), "min") == 1
 
     def test_ties_resolve_to_lowest_index(self):
-        from repro.experiments.figures import _optimum
-
-        assert _optimum(np.array([1.0, 1.0, 1.0]), "min") == 0
-        assert _optimum(np.array([np.nan, 3.0, 3.0]), "max") == 1
+        assert best_index(np.array([1.0, 1.0, 1.0]), "min") == 0
+        assert best_index(np.array([np.nan, 3.0, 3.0]), "max") == 1
 
     def test_all_nan_is_none(self):
-        from repro.experiments.figures import _optimum
-
-        assert _optimum(np.array([np.nan, np.nan]), "min") is None
-        assert _optimum(np.array([np.nan, np.nan]), "max") is None
+        assert best_index(np.array([np.nan, np.nan]), "min") is None
+        assert best_index(np.array([np.nan, np.nan]), "max") is None
 
 
 class TestOptimalPointParity:
-    """Search path == dense-cache path for the optimal-p panels.
+    """A b-panel is the same alone as after its a-panel.
 
-    The b-panels read the cached dense sweep when an a-panel already
-    paid for it, and run the adaptive frontier search otherwise; both
-    must produce bit-identical figures.
+    Alone, a b-panel computes the dense sweep itself; after its a-panel
+    it reads the cached one.  Both must produce bit-identical figures.
     """
 
     @pytest.mark.parametrize(
@@ -282,32 +300,32 @@ class TestOptimalPointParity:
     )
     def test_panels(self, tiny_scale, a_panel, b_panel):
         clear_caches()
-        via_search = generate_figure(b_panel, tiny_scale)
+        alone = generate_figure(b_panel, tiny_scale)
 
         clear_caches()
         generate_figure(a_panel, tiny_scale)  # populates the dense cache
-        via_dense = generate_figure(b_panel, tiny_scale)
+        after = generate_figure(b_panel, tiny_scale)
 
-        assert via_search.series.keys() == via_dense.series.keys()
-        for name in via_search.series:
+        assert alone.series.keys() == after.series.keys()
+        for name in alone.series:
             np.testing.assert_array_equal(
-                np.asarray(via_search.series[name], dtype=float),
-                np.asarray(via_dense.series[name], dtype=float),
+                np.asarray(alone.series[name], dtype=float),
+                np.asarray(after.series[name], dtype=float),
             )
         clear_caches()
 
     def test_fig12_ratio_parity(self, tiny_scale):
         clear_caches()
-        via_search = generate_figure("fig12", tiny_scale)
+        alone = generate_figure("fig12", tiny_scale)
 
         clear_caches()
         generate_figure("fig6a", tiny_scale)
-        via_dense = generate_figure("fig12", tiny_scale)
+        after = generate_figure("fig12", tiny_scale)
 
-        for name in via_search.series:
+        for name in alone.series:
             np.testing.assert_array_equal(
-                np.asarray(via_search.series[name], dtype=float),
-                np.asarray(via_dense.series[name], dtype=float),
+                np.asarray(alone.series[name], dtype=float),
+                np.asarray(after.series[name], dtype=float),
             )
         clear_caches()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import pytest
@@ -102,6 +103,33 @@ class TestProfilerCore:
         assert ev_thread.parent_id is None
         assert ev_thread.tid != ev_main.tid
         assert ev_thread.pid == ev_main.pid
+
+    def test_gathered_coroutines_get_independent_stacks(self):
+        prof = spans.profiler()
+
+        async def branch(name: str) -> None:
+            h = prof.begin(name)
+            await asyncio.sleep(0)  # the other branch opens its span here
+            inner = prof.begin(f"{name}-inner")
+            await asyncio.sleep(0)
+            inner.end()
+            h.end()
+
+        async def main() -> None:
+            outer = prof.begin("outer")
+            await asyncio.gather(branch("a"), branch("b"))
+            outer.end()
+
+        with spans.capture_spans() as buf:
+            asyncio.run(main())
+        (ev_outer,) = buf.named("outer")
+        for name in ("a", "b"):
+            (ev,) = buf.named(name)
+            (ev_inner,) = buf.named(f"{name}-inner")
+            # Each coroutine nests under the span open where it was
+            # created, never under its sibling on the same thread.
+            assert ev.parent_id == ev_outer.span_id
+            assert ev_inner.parent_id == ev.span_id
 
     def test_capture_detaches_on_exit(self):
         prof = spans.profiler()

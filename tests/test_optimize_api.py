@@ -69,6 +69,14 @@ class TestOptimize:
         assert a.to_dict() == b.to_dict()
         assert a.frontier == b.frontier
 
+    def test_resolution_not_dividing_one(self):
+        # The ladder stops at 0.90: the shotgun's top rung is a probability.
+        result = optimize(
+            CONFIG, **{**KNOBS, "resolution": 0.15, "verify": False}
+        )
+        assert result.best is not None
+        assert 0.0 < result.best.p <= 0.9 + 1e-12
+
     def test_analysis_config_accepted(self):
         result = optimize(CONFIG.analysis, **{**KNOBS, "verify": False})
         assert result.frontier

@@ -2,9 +2,10 @@
 
 The load-bearing claims pinned here:
 
-* :func:`evaluate_trace` reproduces every :data:`repro.analysis.optimizer.METRICS`
-  entry bit-for-bit against :func:`sweep_metric` (the four corners of the
-  paper's Figs. 4-7);
+* :func:`evaluate_trace`, and :func:`sweep_metric` through it, reproduce
+  the :class:`BroadcastTrace` metric methods bit-for-bit for every
+  :data:`repro.analysis.optimizer.METRICS` entry (the four corners of
+  the paper's Figs. 4-7);
 * :func:`evaluate_run` matches the :class:`RunResult` metric methods exactly;
 * :func:`evaluate_runs` aggregates with the figures' mean-over-feasible
   convention.
@@ -19,8 +20,14 @@ import pytest
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.metrics import QUIESCENCE_PHASES
-from repro.analysis.optimizer import default_probability_grid, sweep_metric
+from repro.analysis.optimizer import (
+    METRICS,
+    default_probability_grid,
+    paper_query,
+    sweep_metric,
+)
 from repro.analysis.ring_model import RingModel
+from repro.analysis.trace import BroadcastTrace
 from repro.errors import ConfigurationError, InfeasibleConstraintError
 from repro.optimize import (
     Evaluation,
@@ -36,29 +43,39 @@ from repro.sim.runner import sweep_grid
 
 GRID = default_probability_grid(0.05)
 
-#: sweep_metric key -> (query, Evaluation attribute, constraint value).
+#: The paper's analysis constraint per bound (Figs. 4-7).
+CONSTRAINTS = {"latency": 5.0, "reachability": 0.72, "energy": 35.0}
+
+#: METRICS key -> (query, Evaluation attribute, constraint value).
 PARITY_CASES = {
-    "reachability_at_latency": (
-        OptimizeQuery(bounds={"latency": 5.0}, objectives=("reachability",)),
-        "reachability",
-        5.0,
-    ),
-    "latency_at_reachability": (
-        OptimizeQuery(bounds={"reachability": 0.72}, objectives=("latency",)),
-        "latency",
-        0.72,
-    ),
-    "energy_at_reachability": (
-        OptimizeQuery(bounds={"reachability": 0.72}, objectives=("energy",)),
-        "energy",
-        0.72,
-    ),
-    "reachability_at_energy": (
-        OptimizeQuery(bounds={"energy": 35.0}, objectives=("reachability",)),
-        "reachability",
-        35.0,
-    ),
+    metric: (paper_query(metric, CONSTRAINTS[bound]), objective, CONSTRAINTS[bound])
+    for metric, (bound, objective) in METRICS.items()
 }
+
+
+def _trace_method_values(
+    model: RingModel, metric: str, constraint: float, grid: np.ndarray
+) -> list[float]:
+    """One paper metric read straight off the trace methods (NaN if infeasible).
+
+    The latency metric reads a trace cut at the budget; the others a
+    quiescent one.
+    """
+    if metric == "reachability_at_latency":
+        traces = model.run_batch(grid, max_phases=math.ceil(constraint))
+        return [trace.reachability_after(constraint) for trace in traces]
+    read = {
+        "latency_at_reachability": BroadcastTrace.latency_to,
+        "energy_at_reachability": BroadcastTrace.broadcasts_to,
+        "reachability_at_energy": BroadcastTrace.reachability_within_energy,
+    }[metric]
+    values = []
+    for trace in model.run_batch(grid, max_phases=QUIESCENCE_PHASES):
+        try:
+            values.append(read(trace, constraint))
+        except InfeasibleConstraintError:
+            values.append(math.nan)
+    return values
 
 
 class TestQueryValidation:
@@ -102,25 +119,29 @@ class TestQueryValidation:
 
 
 class TestTraceParity:
-    """evaluate_trace vs sweep_metric, bit for bit."""
+    """evaluate_trace and sweep_metric vs the trace methods, bit for bit."""
 
     @pytest.mark.parametrize("rho", [20.0, 60.0, 140.0])
     @pytest.mark.parametrize("metric", sorted(PARITY_CASES))
     def test_matches_sweep_metric(self, rho, metric):
         config = AnalysisConfig(rho=rho)
         query, attr, constraint = PARITY_CASES[metric]
-        _, expected = sweep_metric(config, metric, constraint, p_grid=GRID)
-        traces = RingModel(config).run_batch(GRID, max_phases=QUIESCENCE_PHASES)
-        for p, trace, want in zip(GRID, traces, expected, strict=True):
+        model = RingModel(config)
+        expected = _trace_method_values(model, metric, constraint, GRID)
+        _, swept = sweep_metric(config, metric, constraint, p_grid=GRID)
+        traces = model.run_batch(GRID, max_phases=QUIESCENCE_PHASES)
+        for p, trace, want, got in zip(GRID, traces, expected, swept, strict=True):
             ev = evaluate_trace(trace, query)
             assert ev.p == float(p)
             if math.isnan(want):
+                assert math.isnan(got)
                 assert not ev.feasible
                 assert ev.violation > 0.0
             else:
+                # Exact equality, whatever the recursion horizon: every
+                # path reads the same interpolated trace methods.
+                assert got == want
                 assert ev.feasible
-                # Exact equality: both paths read the same interpolated
-                # trace methods, regardless of recursion horizon.
                 assert float(getattr(ev, attr)) == want
 
     def test_all_metrics_read_at_same_stop(self, paper_config):
