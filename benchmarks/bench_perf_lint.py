@@ -6,13 +6,13 @@ habit, so the warm-cache wall time over ``src/`` is gated with an
 absolute budget in ``check_perf.py`` (``HARD_LIMITS``): regressing the
 analyzer into tens of seconds would push it out of the edit loop.
 
-The cache is primed once per benchmark (module summaries are
+The cache is primed once per benchmark (per-file facts are
 content-addressed), so what's measured is the steady state a developer
-sees: re-parse, suppression parsing (a tokenizer pass only for the few
-files whose text contains ``repro:``), the per-module rules (all served
-from one ``ast.walk`` per module), cache hits, and the project-level
-fixed points.  The cold case adds summary extraction; the gap between
-the two medians is what the cache saves.
+sees: reading each file, two cache hits per file (its module-rule
+results and its flow summary) and the project-level fixed points.  A
+warm pass parses, tokenizes and rule-checks nothing.  The cold case
+adds all of that plus summary extraction; the gap between the two
+medians is what the cache saves.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _run_analyzer(cache_dir: Path) -> int:
 def test_analyzer_warm_cache_src(benchmark, tmp_path, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     cache_dir = tmp_path / "lint-cache"
-    _run_analyzer(cache_dir)  # prime the summary cache
+    _run_analyzer(cache_dir)  # prime the fact cache
     assert any(cache_dir.iterdir()), "cache should be populated after priming"
 
     n = benchmark.pedantic(lambda: _run_analyzer(cache_dir), rounds=3, iterations=1)

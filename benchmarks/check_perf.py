@@ -45,7 +45,7 @@ ALIAS_PREFIX = "baseline:"
 #: regressions.  The budgets are set with generous headroom over
 #: current medians, so machine variance cannot trip them.
 HARD_LIMITS: dict[str, float] = {
-    # Whole-program lint pass (warm summary cache) over src/: must stay
+    # Whole-program lint pass (warm fact cache) over src/: must stay
     # cheap enough to run as a pre-commit habit.
     "benchmarks/bench_perf_lint.py::test_analyzer_warm_cache_src": 5.0,
     # Warm serve queries answer from the read-through memory tier; the

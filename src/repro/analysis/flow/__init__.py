@@ -11,7 +11,8 @@ Layered on the :mod:`repro.analysis.lint` framework:
   taint;
 * :mod:`~repro.analysis.flow.effects` — effect inference, contracts,
   and the committed effects manifest;
-* :mod:`~repro.analysis.flow.cache` — content-hash incremental cache;
+* :mod:`~repro.analysis.flow.cache` — the per-file fact cache (module-rule
+  results and summaries, keyed by an analyzer fingerprint and content);
 * :mod:`~repro.analysis.flow.rules` — the ``flow-*`` project rules.
 """
 

@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.analysis.flow.cache import DEFAULT_CACHE_DIR, SummaryCache
+from repro.analysis.flow.cache import SummaryCache, open_cache
 from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.effects import EffectInference
 from repro.analysis.flow.summary import module_name_for_path
@@ -36,6 +36,7 @@ from repro.analysis.lint.core import (
     Finding,
     ProjectContext,
     ProjectRule,
+    all_rules,
     iter_python_files,
     register_project,
     relative_posix,
@@ -61,21 +62,17 @@ _FULL_SCAN_SENTINEL = "src/repro/__init__.py"
 class FlowProgram:
     """Shared symbol table + call graph for one check run."""
 
-    def __init__(self, project: Project, graph: CallGraph, cache: SummaryCache) -> None:
+    def __init__(self, project: Project, graph: CallGraph) -> None:
         self.project = project
         self.graph = graph
-        self.cache = cache
 
     @classmethod
     def ensure(cls, pctx: ProjectContext) -> "FlowProgram":
+        """The run's program; a module served from the fact cache has no
+        tree, so a summary miss parses it."""
         program = pctx.memo.get("flow-program")
         if program is None:
-            directory: Path | None = None
-            if pctx.use_cache:
-                directory = pctx.cache_dir or (
-                    (pctx.root or Path.cwd()) / DEFAULT_CACHE_DIR
-                )
-            cache = SummaryCache(directory)
+            cache = pctx.cache or SummaryCache(None)
             summaries = []
             for path in sorted(pctx.modules):
                 if not module_name_for_path(path):
@@ -83,7 +80,7 @@ class FlowProgram:
                 ctx = pctx.modules[path]
                 summaries.append(cache.summary_for(path, ctx.source, ctx.tree))
             project = Project(summaries)
-            program = cls(project, CallGraph(project), cache)
+            program = cls(project, CallGraph(project))
             pctx.memo["flow-program"] = program
         return program
 
@@ -163,12 +160,8 @@ def effects_manifest_for_paths(
     cache_dir: str | Path | None = None,
 ) -> dict[str, list[str]]:
     """Inferred effects manifest for the project files under ``paths``."""
-    directory: Path | None = None
-    if use_cache:
-        directory = Path(cache_dir) if cache_dir is not None else (
-            (root or Path.cwd()) / DEFAULT_CACHE_DIR
-        )
-    cache = SummaryCache(directory)
+    # keyed like a default check run, whose summary entries it reuses
+    cache = open_cache(all_rules(), root, use_cache, cache_dir)
     summaries = []
     for file in iter_python_files(paths):
         rel = relative_posix(file, root)

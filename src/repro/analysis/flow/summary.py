@@ -47,17 +47,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 __all__ = [
-    "SUMMARY_VERSION",
     "CallSite",
     "FunctionSummary",
     "ModuleSummary",
     "extract_module",
     "module_name_for_path",
 ]
-
-#: Bump when the extraction or the serialized layout changes; part of
-#: the cache key, so stale cache entries can never poison an analysis.
-SUMMARY_VERSION = 1
 
 MODULE_SCOPE = "<module>"
 
@@ -212,7 +207,6 @@ class ModuleSummary:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "version": SUMMARY_VERSION,
             "path": self.path,
             "module": self.module,
             "bindings": self.bindings,

@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the incremental analysis cache (.repro-lint-cache/)",
+        help="parse and check every file, reading and writing no cached "
+        "per-file facts (.repro-lint-cache/)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -9,6 +9,12 @@ walk of the tree.  Rules register themselves into a module-level
 registry via :func:`register` so the CLI, the pytest hook and the
 self-tests all see the same set.
 
+:func:`check_paths` keeps each file's module-rule results (its findings
+and its suppression table) in the per-file fact cache of
+:mod:`repro.analysis.flow.cache`, next to the file's flow summary, so a
+warm pass parses and rule-checks only the files that changed.
+:func:`check_source` and :func:`check_project_sources` are uncached.
+
 Suppressions are per-finding and must carry a reason::
 
     informed = np.append(informed, fresh)  # repro: allow(vec-object-dtype) — cold setup path
@@ -28,9 +34,12 @@ import io
 import os
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar, overload
+
+from repro.analysis.flow.cache import SummaryCache, open_cache
+from repro.analysis.flow.summary import module_name_for_path
 
 __all__ = [
     "Finding",
@@ -156,11 +165,13 @@ class ModuleContext:
     Rules read the tree through :meth:`nodes` rather than walking it,
     and share what they derive from it (the rules' import map) through
     :attr:`memo`; :meth:`drop_index` frees both once the module rules
-    have run.
+    have run.  :func:`check_paths` drops the tree once the module rules
+    have run (a module served from the fact cache never had one);
+    :meth:`nodes` parses ``source`` again if it is ever asked.
     """
 
     path: str  #: repo-relative posix path
-    tree: ast.Module
+    tree: ast.Module | None  #: None once checked by, or served from, check_paths
     lines: Sequence[str]
     suppressions: dict[int, Suppression] = field(default_factory=dict)
     source: str = ""  #: raw text (project rules feed it to the fact cache)
@@ -187,6 +198,8 @@ class ModuleContext:
         """
         walk = self._walk
         if walk is None:
+            if self.tree is None:
+                self.tree = ast.parse(self.source, filename=self.path)
             walk = self._walk = list(ast.walk(self.tree))
         hit = self._index.get(types)
         if hit is None:
@@ -246,9 +259,8 @@ class ProjectContext:
     """
 
     modules: dict[str, ModuleContext]  #: repo-relative posix path -> ctx
-    root: Path | None = None  #: repo root (manifest + cache locations)
-    cache_dir: Path | None = None  #: override for the fact-cache dir
-    use_cache: bool = True
+    root: Path | None = None  #: repo root (effects manifest location)
+    cache: SummaryCache | None = None  #: the run's fact cache (None: off)
     memo: dict = field(default_factory=dict)
 
     def finding(
@@ -402,47 +414,54 @@ def check_paths(
 
     Two phases: per-module rules run file by file, then whole-program
     rules (``project_rules``; default: all registered) run once over
-    every parsed module.  Unused suppressions are collected *after*
-    both phases, so a suppression consumed by a project rule counts as
-    used.  Returns ``(findings, unused_suppressions)``; findings
-    include suppressed ones (reporters and the baseline decide what
-    counts).  Unparseable files are reported through ``on_error`` and
-    skipped — the linter must not crash on a file Python itself would
-    reject, because CI runs it before the test suite.
+    every module.  A file whose module-rule results are in the fact
+    cache (``cache_dir``, default ``<root or cwd>/.repro-lint-cache``;
+    off with ``use_cache=False``) is not parsed: its findings and its
+    suppression table, with the marks those rules set, are read back.
+    A file that is parsed gets its flow summary right after its module
+    rules, and its tree is dropped then.  Unused suppressions are
+    collected *after* both phases, so a suppression consumed by a
+    project rule counts as used.  Returns ``(findings,
+    unused_suppressions)``; findings include suppressed ones (reporters
+    and the baseline decide what counts).  Unparseable files are
+    reported through ``on_error`` and skipped on every pass — the linter
+    must not crash on a file Python itself would reject, because CI runs
+    it before the test suite.
     """
     selected = list(all_rules() if rules is None else rules)
     proj_selected = list(
         all_project_rules() if project_rules is None else project_rules
     )
+    cache = open_cache(selected, root, use_cache, cache_dir)
     findings: list[Finding] = []
     contexts: list[ModuleContext] = []
     for file in iter_python_files(paths):
         rel = relative_posix(file, root)
-        try:
-            source = file.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=rel)
-        except SyntaxError as exc:
-            if on_error is not None:
-                on_error(file, exc)
-            continue
-        ctx = ModuleContext(
-            path=rel,
-            tree=tree,
-            lines=source.splitlines(),
-            suppressions=parse_suppressions(source),
-            source=source,
-        )
+        source = file.read_text(encoding="utf-8")
+        ctx = ModuleContext(path=rel, tree=None, lines=source.splitlines(), source=source)
+        entry = cache.load("module", rel, source)
+        found = None if entry is None else _restore_module(ctx, entry)
+        if found is None:
+            try:
+                ctx.tree = ast.parse(source, filename=rel)
+            except SyntaxError as exc:
+                if on_error is not None:
+                    on_error(file, exc)
+                continue
+            ctx.suppressions = parse_suppressions(source)
+            found = [f for rule in selected if rule.applies(rel) for f in rule.check(ctx)]
+            ctx.drop_index()  # the project rules read summaries, not nodes
+            cache.store("module", rel, source, _module_entry(found, ctx.suppressions))
+            if proj_selected and module_name_for_path(rel):
+                # extract now: trees kept for the project phase would be
+                # walked by every full GC pass until the run ends
+                cache.summary_for(rel, source, ctx.tree)
+            ctx.tree = None
         contexts.append(ctx)
-        for rule in selected:
-            if rule.applies(rel):
-                findings.extend(rule.check(ctx))
-        ctx.drop_index()  # the project rules read summaries, not nodes
+        findings.extend(found)
     if proj_selected:
         pctx = ProjectContext(
-            modules={c.path: c for c in contexts},
-            root=root,
-            cache_dir=Path(cache_dir) if cache_dir is not None else None,
-            use_cache=use_cache,
+            modules={c.path: c for c in contexts}, root=root, cache=cache
         )
         for prule in proj_selected:
             findings.extend(prule.check_project(pctx))
@@ -454,6 +473,36 @@ def check_paths(
     ]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings, unused
+
+
+_FINDING_FIELDS = tuple(f.name for f in fields(Finding))
+
+
+def _module_entry(
+    findings: list[Finding], suppressions: dict[int, Suppression]
+) -> dict[str, Any]:
+    """A module's rule results as a fact-cache entry."""
+    return {
+        "findings": [[getattr(f, name) for name in _FINDING_FIELDS] for f in findings],
+        "suppressions": [
+            [target, s.line, list(s.rules), s.reason, s.used]
+            for target, s in suppressions.items()
+        ],
+    }
+
+
+def _restore_module(ctx: ModuleContext, entry: dict[str, Any]) -> list[Finding] | None:
+    """The findings of a module entry, after restoring ``ctx.suppressions``
+    as the module rules left them; None if the entry is malformed."""
+    try:
+        found = [Finding(*row) for row in entry["findings"]]
+        ctx.suppressions = {
+            target: Suppression(line, tuple(rules), reason, used)
+            for target, line, rules, reason, used in entry["suppressions"]
+        }
+    except (KeyError, TypeError, ValueError):
+        return None
+    return found
 
 
 def check_project_sources(
@@ -480,7 +529,7 @@ def check_project_sources(
             suppressions=parse_suppressions(source),
             source=source,
         )
-    pctx = ProjectContext(modules=modules, root=root, use_cache=False)
+    pctx = ProjectContext(modules=modules, root=root)
     findings: list[Finding] = []
     for prule in selected:
         findings.extend(prule.check_project(pctx))

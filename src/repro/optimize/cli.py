@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 
 from repro.analysis.config import AnalysisConfig
 from repro.errors import ReproError
 from repro.optimize.api import OptimizeResult, optimize
-from repro.optimize.spec import METRIC_NAMES
+from repro.optimize.spec import METRIC_NAMES, METRIC_SENSES
 from repro.sim.config import SimulationConfig
 
 __all__ = ["main"]
@@ -170,6 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SENSE_VERBS = {"max": "maximize", "min": "minimize"}
+
+
 def _render(result: OptimizeResult) -> str:
     """The human-readable report."""
     lines: list[str] = []
@@ -178,8 +182,12 @@ def _render(result: OptimizeResult) -> str:
         f"{name} {'>=' if name == 'reachability' else '<='} {v:g}"
         for name, v in sorted(q.bounds.items())
     )
+    goals = ", ".join(
+        f"{_SENSE_VERBS[sense]} {', '.join(names)}"
+        for sense, names in groupby(q.objectives, key=METRIC_SENSES.__getitem__)
+    )
     lines.append(
-        f"query: minimize {', '.join(q.objectives)}"
+        f"query: {goals}"
         + (f"  subject to {bounds}" if bounds else "  (unconstrained)")
     )
     lines.append(

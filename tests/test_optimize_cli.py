@@ -51,6 +51,11 @@ class TestArguments:
         assert main(argv) == 0
         assert "minimize latency, energy" in capsys.readouterr().out
 
+    def test_maximized_objective_reads_maximize(self, capsys):
+        argv = FAST + ["--objective", "reachability", "--max-latency", "5", "--no-verify"]
+        assert main(argv) == 0
+        assert "query: maximize reachability  subject to latency <= 5" in capsys.readouterr().out
+
 
 class TestReports:
     def test_human_report(self, capsys):

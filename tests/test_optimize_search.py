@@ -18,7 +18,6 @@ from repro.optimize import (
     Evaluation,
     OptimizeQuery,
     SurrogateModel,
-    better,
     candidate_seed,
     search_frontier,
 )
