@@ -11,8 +11,9 @@ with orders of magnitude fewer Monte-Carlo runs than the dense
   pruning over feasible evaluations.
 * :mod:`repro.optimize.search` — shotgun + hillclimb over a fixed
   probability ladder, driven by bound-violation-first comparison.
-* :mod:`repro.optimize.surrogate` — the cheap tier: memoized batched
-  ring-recursion traces answering every probe analytically.
+* :mod:`repro.optimize.surrogate` — the cheap tier: batched
+  ring-recursion traces answering every probe analytically, memoized
+  once per density and process.
 * :mod:`repro.optimize.verify` — the expensive tier: Monte-Carlo
   verification of the shortlisted candidates through the store-backed
   scheduler, warm-starting from previous searches.

@@ -5,8 +5,10 @@ constraints" through the full two-tier pipeline: shotgun + hillclimb
 search over a fixed probability ladder with the analytical ring model
 as surrogate, then Monte-Carlo verification of the frontier (plus a
 tolerance band of near-optimal probes) through the result-store
-scheduler.  With a warm store, a repeated or adjacent query performs
-zero new simulator runs.
+scheduler.  The surrogate's traces are memoized once per density and
+process (:meth:`~repro.optimize.surrogate.SurrogateModel.shared`), so a
+query at a density seen before runs no new ring recursion; with a warm
+store, a repeated or adjacent query performs zero new simulator runs.
 
 Telemetry follows the repo conventions: ``optimize.*`` counters when
 metric collection is enabled, :class:`~repro.obs.events.SearchStep`
@@ -82,7 +84,8 @@ class OptimizeResult:
     candidates:
         Ladder rungs sent to the simulator.
     surrogate_probes:
-        Distinct probabilities the ring recursion evaluated.
+        Ladder rungs the search evaluated on the surrogate (whether the
+        shared trace memo served them or the recursion ran).
     sim_tasks:
         Monte-Carlo runs dispatched (``len(candidates) *
         replications``; a warm store serves them without computing).
@@ -161,7 +164,6 @@ def optimize(
     replications: int = 30,
     max_verify: int = 4,
     min_feasible: float = 0.5,
-    surrogate: SurrogateModel | None = None,
     engine: str = "vector",
     alignment: str = "phase",
     workers: int | None = 1,
@@ -209,9 +211,6 @@ def optimize(
     min_feasible:
         Per-candidate feasibility quorum (see
         :class:`~repro.optimize.spec.OptimizeQuery`).
-    surrogate:
-        A prebuilt :class:`~repro.optimize.surrogate.SurrogateModel` to
-        reuse trace memos across queries at one density.
     engine, alignment, workers, store, resume, retries, block_size,
     progress, manifest_dir:
         Forwarded to the Monte-Carlo sweep (see
@@ -234,7 +233,7 @@ def optimize(
         if max_verify < 1:
             raise ConfigurationError(f"max_verify must be >= 1, got {max_verify}")
     root = as_seed_sequence(seed)
-    model = surrogate if surrogate is not None else SurrogateModel(sim_config)
+    model = SurrogateModel.shared(sim_config)
     ladder = default_probability_grid(resolution)
 
     started = obs_provenance.start_clock() if manifest_dir is not None else None
@@ -262,6 +261,7 @@ def optimize(
         return evs
 
     h_search = begin("optimize.search", "optimize") if begin is not None else None
+    recursions_before = model.probes
     outcome: SearchOutcome = search_frontier(
         _evaluate,
         ladder,
@@ -273,13 +273,15 @@ def optimize(
     )
     if h_search is not None:
         h_search.end(
-            probes=model.probes,
+            probes=outcome.probes,
+            recursions=model.probes - recursions_before,
             restarts=outcome.restarts,
             frontier=len(outcome.frontier),
         )
     if reg.enabled:
         reg.counter("optimize.searches").inc()
         reg.counter("optimize.restarts").inc(outcome.restarts)
+        reg.counter("optimize.surrogate_probes").inc(outcome.probes)
 
     rung_of = {ev.p: rung for rung, ev in outcome.evaluations.items()}
     candidates: list[int] = []
@@ -361,7 +363,7 @@ def optimize(
         best=best,
         surrogate_frontier=outcome.frontier,
         candidates=tuple(candidates),
-        surrogate_probes=model.probes,
+        surrogate_probes=outcome.probes,
         sim_tasks=len(candidates) * replications if verify else 0,
         seed_entropy=root.entropy,
     )
@@ -386,7 +388,7 @@ def optimize(
                 "candidates_p": [float(ladder[r]) for r in candidates],
                 "frontier_p": [pt.p for pt in points],
                 "best_p": None if best is None else best.p,
-                "surrogate_probes": model.probes,
+                "surrogate_probes": outcome.probes,
                 "sim_tasks": result.sim_tasks,
                 "store": None if store is None else str(store),
             },

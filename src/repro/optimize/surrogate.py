@@ -5,20 +5,22 @@ closed-form surrogate evaluated by the batched
 :meth:`~repro.analysis.ring_model.RingModel.run_batch` — so the
 Monte-Carlo simulator is reserved for *verifying* the handful of
 candidates the search shortlists (see :mod:`repro.optimize.verify`).
-A probe costs about 0.3 ms in the batches of ~4 probabilities a search
-step asks for (e2e ``optimize`` workload, 88 probes per query, on a
-2-vCPU Xeon VM); the recursion's quadrature, geometry and ``mu`` tables
-are built once per process, not per query.
 
-Traces are memoized per probability: adjacent queries against one
-:class:`SurrogateModel` re-derive their metrics from cached traces
-without re-running the recursion, and ``run_batch`` is bit-identical
-per trace regardless of batch composition, so a memoized probe equals
-a dense-sweep probe exactly.
+Traces are memoized per probability, and :func:`~repro.optimize.optimize`
+reads through one shared model per density and carrier sense
+(:meth:`SurrogateModel.shared`).  The first query at a density pays for
+the recursion, about 0.3 ms per probe in the batches of ~4
+probabilities a search step asks for (e2e ``optimize`` workload, 88
+probes per query, on a 2-vCPU Xeon VM); a later query at that density
+re-runs it only for rungs no earlier query probed, and otherwise pays
+only :func:`~repro.optimize.spec.evaluate_trace`.  ``run_batch`` is
+bit-identical per trace regardless of batch composition, so a memoized
+probe equals a fresh probe and a dense-sweep probe exactly.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -27,12 +29,18 @@ from repro.analysis.config import AnalysisConfig
 from repro.analysis.metrics import QUIESCENCE_PHASES
 from repro.analysis.ring_model import RingModel
 from repro.analysis.trace import BroadcastTrace
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.optimize.spec import Evaluation, OptimizeQuery, evaluate_trace
 from repro.sim.config import SimulationConfig
 
-__all__ = ["SurrogateModel"]
+__all__ = ["SHARED_MODELS", "SurrogateModel"]
+
+#: Shared models a process keeps, least recently used evicted first.
+#: One memoized trace costs ~2 kB with its cumulative series
+#: (tracemalloc, rho=140), so a density queried at the default ladder
+#: resolution of 0.001 holds at most ~2 MB, and the shared memo at most
+#: ~16 MB per resolution in use.
+SHARED_MODELS = 8
 
 
 class SurrogateModel:
@@ -54,9 +62,15 @@ class SurrogateModel:
     Attributes
     ----------
     probes:
-        Fresh recursion runs paid so far (cache misses).
+        Fresh recursion lanes paid so far (cache misses).
     hits:
         Probe requests served from the trace memo.
+
+    Memoized traces are shared by every caller of :meth:`traces`, so
+    their arrays, cumulative series included, are read-only.  Threads
+    may share a model: concurrent misses on one probability store
+    bit-identical traces under one key, and only the diagnostic
+    ``probes``/``hits`` counters can lose an update.
     """
 
     def __init__(
@@ -80,6 +94,19 @@ class SurrogateModel:
         self.hits = 0
         self._traces: dict[float, BroadcastTrace] = {}
 
+    @staticmethod
+    def shared(config: SimulationConfig | AnalysisConfig) -> "SurrogateModel":
+        """The process-wide model for ``config``'s density and carrier sense.
+
+        Keyed by ``(analysis config, carrier_sense)``, a bare
+        :class:`~repro.analysis.config.AnalysisConfig` counting as
+        carrier sense off; no other simulation setting reaches the
+        surrogate.  At most :data:`SHARED_MODELS` are kept.
+        """
+        if isinstance(config, SimulationConfig):
+            return _shared_model(config.analysis, config.carrier_sense)
+        return _shared_model(config, False)
+
     @property
     def config(self) -> AnalysisConfig:
         """The analytical configuration the surrogate runs under."""
@@ -102,13 +129,17 @@ class SurrogateModel:
                 np.asarray(missing, dtype=float), max_phases=self.max_phases
             )
             for p, trace in zip(missing, batch, strict=True):
+                for array in (
+                    trace.new_by_phase_ring,
+                    trace.broadcasts_by_phase,
+                    trace.cumulative_reachability,
+                    trace.cumulative_broadcasts,
+                ):
+                    array.setflags(write=False)
                 self._traces[p] = trace
             self.probes += len(missing)
             if h is not None:
                 h.end(probes=len(missing))
-            reg = obs_metrics.registry()
-            if reg.enabled:
-                reg.counter("optimize.surrogate_probes").inc(len(missing))
         self.hits += cached
         return [self._traces[p] for p in wanted]
 
@@ -117,3 +148,10 @@ class SurrogateModel:
     ) -> list[Evaluation]:
         """Evaluate a query at a batch of probabilities."""
         return [evaluate_trace(t, query) for t in self.traces(ps)]
+
+
+@lru_cache(maxsize=SHARED_MODELS)
+def _shared_model(analysis: AnalysisConfig, carrier_sense: bool) -> SurrogateModel:
+    return SurrogateModel(
+        SimulationConfig(analysis=analysis, carrier_sense=carrier_sense)
+    )
