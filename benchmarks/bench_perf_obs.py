@@ -5,11 +5,10 @@ detached (the default state) — the engines hoist the tracer check to one
 attribute read per run and one ``is not None`` test per slot, so the
 disabled medians here must stay on top of ``bench_perf_engines``'s.
 The attached-sink benchmarks quantify what a user pays to actually
-record a trace (ring buffer, JSONL file) or collect metrics.
+record a trace (ring buffer, JSONL file) or spans with their counters.
 """
 
 from repro.analysis.config import AnalysisConfig
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.protocols.pbcast import ProbabilisticRelay, SimpleFlooding
@@ -27,7 +26,7 @@ def _run_mid():
 def test_tracing_disabled_pb_rho60(benchmark):
     """Baseline with the instrumentation compiled in but no sink attached."""
     assert not obs_trace.get_tracer().enabled
-    assert not obs_metrics.registry().enabled
+    assert not obs_spans.profiler().enabled
     res = benchmark(_run_mid)
     assert res.reachability > 0.5
 
@@ -98,12 +97,3 @@ def test_spans_enabled_pb_rho60(benchmark):
 
     res = benchmark(run)
     assert res.reachability > 0.5
-
-
-def test_metrics_enabled_pb_rho60(benchmark):
-    def run():
-        with obs_metrics.collect():
-            return _run_mid()
-
-    res = benchmark(run)
-    assert res.metrics is not None

@@ -28,8 +28,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.utils.stats import gammaln
-
-from repro.obs import metrics as obs_metrics
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -150,13 +148,8 @@ class SlotCollisionTable:
         slots = check_positive_int("slots", slots)
         need = self._kmax if kmax is None else kmax
         cached = self._tables.get(slots)
-        reg = obs_metrics.registry()
         if cached is not None and len(cached) > need:
-            if reg.enabled:
-                reg.counter("collision.table_hits").inc()
             return cached
-        if reg.enabled:
-            reg.counter("collision.table_rebuilds").inc()
         size = self._kmax
         while size < need:
             size *= 2

@@ -17,13 +17,10 @@ equivalence tests.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.models.channel import Channel, Delivery, gather_neighbors
 from repro.network.topology import StackedTopology, Topology
-from repro.obs import metrics as obs_metrics
 
 __all__ = ["CollisionAwareChannel", "counts_and_senders"]
 
@@ -106,8 +103,6 @@ class CollisionAwareChannel(Channel):
         if tx.size == 0:
             return Delivery(receivers=empty, senders=empty.copy(), collided=empty.copy())
 
-        reg = obs_metrics.registry()
-        t0 = time.perf_counter() if reg.enabled else 0.0
         counts, id_sum = self._counts_and_senders(
             tx, self.topology.indptr, self.topology.indices
         )
@@ -118,9 +113,6 @@ class CollisionAwareChannel(Channel):
             # The carrier graph contains the transmission graph, so a
             # clean slot must show exactly the one in-range transmitter.
             ok &= c_counts == 1
-        if reg.enabled:
-            reg.timer("cam.gather").add(time.perf_counter() - t0)
-            reg.counter("cam.slots").inc()
 
         receivers = np.flatnonzero(ok).astype(np.int64)
         return Delivery(

@@ -1,29 +1,31 @@
-"""Structured run telemetry: tracing, metrics, provenance, progress.
+"""Structured run telemetry: spans, events, provenance, progress.
 
-The observability layer for the simulation stack, in four orthogonal
-pieces (see DESIGN.md, "Observability"):
+The observability layer for the simulation stack (see DESIGN.md,
+"Observability") has one counter path, one semantic stream and one
+report:
 
+* :mod:`repro.obs.spans` — hierarchical wall-time spans attributing a
+  whole pipeline invocation (runner → store → engine → optimize); every
+  count a layer reports (runs, slots, collisions, store hits, probes)
+  rides on its span as a counter.  Zero overhead when no sink is
+  attached.
 * :mod:`repro.obs.trace` — slot-level event tracing with pluggable
   sinks; zero overhead when no sink is attached.
-* :mod:`repro.obs.metrics` — a counter/gauge/timer registry the hot
-  paths report into when collection is enabled.
 * :mod:`repro.obs.provenance` — manifests recording seed entropy,
   config, git SHA and environment next to experiment outputs, with
   helpers to reconstruct the run from a loaded manifest.
 * :mod:`repro.obs.progress` — stderr progress/ETA reporting for sweeps
   and the figure battery.
-* :mod:`repro.obs.spans` — hierarchical wall-time spans attributing a
-  whole pipeline invocation (runner → store → engine → optimize); zero
-  overhead when no sink is attached.
 * :mod:`repro.obs.export` — span persistence: JSONL and Chrome
   trace-event JSON (``chrome://tracing``/Perfetto).
 * :mod:`repro.obs.report` — the ``repro-report`` CLI fusing manifest,
   span trace, event trace, and perf ledger into one run report.
 
-``python -m repro.obs.summarize`` renders traces and manifests.
+A region's counters are :func:`capture_spans` plus a sum over
+``buf.named(name)``.
 """
 
-from repro.obs import export, metrics, progress, provenance, report, spans, trace
+from repro.obs import export, progress, provenance, report, spans, trace
 from repro.obs.events import (
     ChannelDelivery,
     NodeInformed,
@@ -33,7 +35,6 @@ from repro.obs.events import (
     SlotResolved,
     StoreAccess,
 )
-from repro.obs.metrics import collect, registry
 from repro.obs.provenance import (
     config_from_manifest,
     load_manifest,
@@ -45,7 +46,6 @@ from repro.obs.trace import JsonlSink, NullSink, RingBufferSink, capture, get_tr
 
 __all__ = [
     "trace",
-    "metrics",
     "provenance",
     "progress",
     "spans",
@@ -66,8 +66,6 @@ __all__ = [
     "RingBufferSink",
     "JsonlSink",
     "NullSink",
-    "collect",
-    "registry",
     "write_manifest",
     "load_manifest",
     "config_from_manifest",

@@ -1,7 +1,7 @@
 """Typed slot-level trace events.
 
 The observability layer speaks a small, closed vocabulary of events so
-that sinks, the summarize CLI, and cross-engine comparison tests all
+that sinks, ``repro-report``, and cross-engine comparison tests all
 agree on field names and semantics without schema negotiation:
 
 ``SlotResolved``
@@ -35,7 +35,7 @@ agree on field names and semantics without schema negotiation:
 
 Events are plain frozen dataclasses; :func:`event_to_dict` /
 :func:`event_from_dict` define the JSONL wire form used by
-:class:`~repro.obs.trace.JsonlSink` and ``repro.obs.summarize``.
+:class:`~repro.obs.trace.JsonlSink` and ``repro-report --trace``.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 A manifest is one JSON document written next to an experiment's outputs
 that answers, months later, "how do I re-run exactly this?": the full
 configuration, the root seed entropy (and spawn key, for seeds that
-were themselves spawned), the git commit, the package versions, wall
-and CPU time, and a metrics snapshot.  :func:`config_from_manifest` and
+were themselves spawned), the git commit, the package versions, and
+wall and CPU time.  :func:`config_from_manifest` and
 :func:`seed_from_manifest` close the loop — a loaded manifest
 reconstructs the objects needed to reproduce the run bit-for-bit.
 
@@ -118,7 +118,6 @@ def write_manifest(
     config: Any = None,
     seed: Any = None,
     params: dict | None = None,
-    metrics: dict | None = None,
     started: tuple[float, float] | None = None,
     filename: str = MANIFEST_NAME,
 ) -> Path:
@@ -144,8 +143,6 @@ def write_manifest(
     params:
         Free-form invocation parameters (grids, replications, engine,
         figure names, ...).
-    metrics:
-        A :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
     started:
         A :func:`start_clock` pair taken before the work, for wall/CPU
         accounting.
@@ -175,8 +172,6 @@ def write_manifest(
         doc["config"] = _jsonable(config)
     if params is not None:
         doc["params"] = _jsonable(params)
-    if metrics is not None:
-        doc["metrics"] = _jsonable(metrics)
     if started is not None:
         wall0, cpu0 = started
         doc["wall_time_s"] = time.perf_counter() - wall0

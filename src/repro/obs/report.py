@@ -10,12 +10,16 @@ report:
 * top-N span names by aggregate self-time,
 * the store hit/miss/put/corrupt breakdown (from spans or trace events),
 * the optimizer's probe/verify steps,
-* the per-``(rho, p)`` task table of a ``sweep_grid`` manifest,
+* an event trace's phase table, busiest slots, and run totals recomputed
+  from the slot-level events and checked against each ``RunComplete``,
+* the manifest's provenance (git SHA, package versions, seed, config)
+  and the per-``(rho, p)`` task table of a ``sweep_grid`` manifest,
 * perf-vs-seed deltas from ``BENCH_perf.json``,
 * the median trajectory from ``BENCH_history.jsonl`` as sparklines.
 
 Sections for inputs not supplied are simply omitted; the CLI exits 0 on
-success and 2 when a named input file is missing.
+success, 1 on an unreadable input, and 2 when a named input file is
+missing.
 """
 
 from __future__ import annotations
@@ -26,7 +30,15 @@ import signal
 import sys
 from pathlib import Path
 
-from repro.obs.events import SearchStep, StoreAccess, TraceEvent
+from repro.obs.events import (
+    NodeInformed,
+    PhaseComplete,
+    RunComplete,
+    SearchStep,
+    SlotResolved,
+    StoreAccess,
+    TraceEvent,
+)
 from repro.obs.export import read_spans_jsonl
 from repro.obs.provenance import load_manifest
 from repro.obs.spans import SpanEvent
@@ -231,6 +243,78 @@ def render_search_steps(events: list[TraceEvent], *, max_rows: int = 20) -> str 
 
 
 # ----------------------------------------------------------------------
+# event-trace section
+# ----------------------------------------------------------------------
+def _render_trace(events: list[TraceEvent], *, max_slots: int) -> str | None:
+    """Phase table, busiest slots, and run totals of a slot-level trace.
+
+    The totals are recomputed from the ``SlotResolved`` and
+    ``NodeInformed`` events and checked against the ``RunComplete``
+    records, so the section doubles as a check that the trace is
+    faithful to the results the engine returned.  Collisions are shown
+    but not checked: the DES engine's ``RunComplete`` counts corrupted
+    receptions, while every ``SlotResolved`` counts receivers.
+    """
+    slots = [e for e in events if isinstance(e, SlotResolved)]
+    phases = [e for e in events if isinstance(e, PhaseComplete)]
+    runs = [e for e in events if isinstance(e, RunComplete)]
+    n_informed = sum(1 for e in events if isinstance(e, NodeInformed))
+    if not (slots or phases or runs or n_informed):
+        return None
+    lines = [f"{len(events)} events"]
+    if phases:
+        lines += ["", "phase   tx    new  informed"]
+        lines += [
+            f"{ph.phase:5d} {ph.n_tx:5d} {ph.n_new:6d} {ph.informed_total:9d}"
+            for ph in phases
+        ]
+    if slots:
+        busiest = sorted(slots, key=lambda e: -e.n_collisions)[:max_slots]
+        lines += [
+            "",
+            f"slot timeline ({len(busiest)} of {len(slots)} active slots, "
+            "busiest by collisions):",
+            " slot phase   tx   rx  coll",
+        ]
+        lines += [
+            f"{ev.slot:5d} {ev.phase:5d} {ev.n_tx:4d} {ev.n_rx:4d} "
+            f"{ev.n_collisions:5d}"
+            for ev in sorted(busiest, key=lambda e: e.slot)
+        ]
+    lines += [
+        "",
+        "total collisions (from SlotResolved): "
+        f"{sum(e.n_collisions for e in slots)}",
+        f"nodes informed   (from NodeInformed): {n_informed}",
+    ]
+    if not runs:
+        lines.append("no RunComplete event (truncated trace?)")
+        return "\n".join(lines)
+    lines += [
+        f"run complete: phases={run.phases} slots={run.slots} "
+        f"collisions={run.collisions} reachability={run.reachability:.4f} "
+        f"tx={run.total_tx} rx={run.total_rx}"
+        for run in runs
+    ]
+    checks = (
+        ("transmissions", sum(e.n_tx for e in slots), sum(r.total_tx for r in runs)),
+        ("receptions", sum(e.n_rx for e in slots), sum(r.total_rx for r in runs)),
+        (
+            "nodes informed",
+            n_informed,
+            sum(round(r.reachability * r.n_field_nodes) for r in runs),
+        ),
+    )
+    for what, recomputed, reported in checks:
+        if recomputed != reported:
+            lines.append(
+                f"WARNING: {what} recomputed from the events disagree with "
+                f"RunComplete ({recomputed} vs {reported}) — truncated trace?"
+            )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
 # manifest / perf sections
 # ----------------------------------------------------------------------
 def render_task_table(manifest: dict) -> str:
@@ -240,6 +324,12 @@ def render_task_table(manifest: dict) -> str:
     if git.get("sha"):
         lines.append(
             f"git: {git['sha'][:12]}" + (" (dirty)" if git.get("dirty") else "")
+        )
+    versions = manifest.get("versions")
+    if versions:
+        lines.append(
+            "versions: "
+            + ", ".join(f"{k}={v}" for k, v in sorted(versions.items()))
         )
     seed = manifest.get("seed")
     if seed is not None:
@@ -262,11 +352,10 @@ def render_task_table(manifest: dict) -> str:
         lines.append(header)
         for rho in rhos:
             lines.append(f"  {rho:7.3g} " + "".join(f"{reps:>8d}" for _ in ps))
-    metrics = manifest.get("metrics")
-    if metrics:
-        lines.append("metrics snapshot:")
-        for name, value in sorted(metrics.items()):
-            lines.append(f"  {name}: {value}")
+    if "config" in manifest:
+        lines.append(f"config ({manifest.get('config_class')}):")
+        config = json.dumps(manifest["config"], indent=2, sort_keys=True)
+        lines.extend(f"  {line}" for line in config.splitlines())
     return "\n".join(lines)
 
 
@@ -352,6 +441,7 @@ def render_report(
     bench_path: str | Path | None = None,
     history_path: str | Path | None = None,
     top: int = 10,
+    max_slots: int = 40,
     markdown: bool = False,
 ) -> str:
     """The full report text for whichever inputs are provided."""
@@ -369,6 +459,9 @@ def render_report(
     search = render_search_steps(events)
     if search is not None:
         sections.append(("Optimizer", search))
+    trace = _render_trace(events, max_slots=max_slots)
+    if trace is not None:
+        sections.append(("Trace", trace))
     if bench_path is not None:
         bench = json.loads(Path(bench_path).read_text())
         deltas = render_perf_deltas(bench)
@@ -413,6 +506,13 @@ def main(argv: list[str] | None = None) -> int:
         "--top", type=int, default=10, metavar="N", help="self-time table rows"
     )
     parser.add_argument(
+        "--max-slots",
+        type=int,
+        default=40,
+        metavar="N",
+        help="cap for the trace's slot-timeline rows (default 40)",
+    )
+    parser.add_argument(
         "--markdown", action="store_true", help="emit Markdown sections"
     )
     args = parser.parse_args(argv)
@@ -442,6 +542,7 @@ def main(argv: list[str] | None = None) -> int:
                 bench_path=args.bench,
                 history_path=args.history,
                 top=args.top,
+                max_slots=args.max_slots,
                 markdown=args.markdown,
             )
         )

@@ -10,8 +10,9 @@ process (:meth:`~repro.optimize.surrogate.SurrogateModel.shared`), so a
 query at a density seen before runs no new ring recursion; with a warm
 store, a repeated or adjacent query performs zero new simulator runs.
 
-Telemetry follows the repo conventions: ``optimize.*`` counters when
-metric collection is enabled, :class:`~repro.obs.events.SearchStep`
+Telemetry follows the repo conventions: ``optimize.query``,
+``optimize.search`` and ``optimize.verify`` spans with their counters
+behind the hoisted begin guard, :class:`~repro.obs.events.SearchStep`
 trace events behind the hoisted emit guard, and an optional provenance
 manifest naming the query, seed entropy, candidates and frontier.
 """
@@ -24,7 +25,6 @@ from typing import Mapping, Sequence
 
 from repro.analysis.config import AnalysisConfig
 from repro.errors import ConfigurationError
-from repro.obs import metrics as obs_metrics
 from repro.obs import provenance as obs_provenance
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
@@ -237,7 +237,6 @@ def optimize(
     ladder = default_probability_grid(resolution)
 
     started = obs_provenance.start_clock() if manifest_dir is not None else None
-    reg = obs_metrics.registry()
     tracer = obs_trace.get_tracer()
     emit = tracer.emit if tracer.enabled else None
     prof = obs_spans.profiler()
@@ -278,10 +277,6 @@ def optimize(
             restarts=outcome.restarts,
             frontier=len(outcome.frontier),
         )
-    if reg.enabled:
-        reg.counter("optimize.searches").inc()
-        reg.counter("optimize.restarts").inc(outcome.restarts)
-        reg.counter("optimize.surrogate_probes").inc(outcome.probes)
 
     rung_of = {ev.p: rung for rung, ev in outcome.evaluations.items()}
     candidates: list[int] = []
@@ -311,8 +306,6 @@ def optimize(
             h_verify.end(
                 candidates=len(candidates), replications=replications
             )
-        if reg.enabled:
-            reg.counter("optimize.sim_tasks").inc(len(candidates) * replications)
         if emit is not None:
             for rung in candidates:
                 ev = simulated[rung]
@@ -392,7 +385,6 @@ def optimize(
                 "sim_tasks": result.sim_tasks,
                 "store": None if store is None else str(store),
             },
-            metrics=obs_metrics.registry().snapshot() or None,
             started=started,
         )
     if h_query is not None:

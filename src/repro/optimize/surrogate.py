@@ -63,14 +63,12 @@ class SurrogateModel:
     ----------
     probes:
         Fresh recursion lanes paid so far (cache misses).
-    hits:
-        Probe requests served from the trace memo.
 
     Memoized traces are shared by every caller of :meth:`traces`, so
     their arrays, cumulative series included, are read-only.  Threads
     may share a model: concurrent misses on one probability store
     bit-identical traces under one key, and only the diagnostic
-    ``probes``/``hits`` counters can lose an update.
+    ``probes`` counter can lose an update.
     """
 
     def __init__(
@@ -91,7 +89,6 @@ class SurrogateModel:
             self.model = RingModel(config)
         self.max_phases = max_phases
         self.probes = 0
-        self.hits = 0
         self._traces: dict[float, BroadcastTrace] = {}
 
     @staticmethod
@@ -119,7 +116,6 @@ class SurrogateModel:
         output is bit-identical to any other batch composition.
         """
         wanted = [float(p) for p in ps]
-        cached = sum(1 for p in wanted if p in self._traces)
         missing = sorted({p for p in wanted if p not in self._traces})
         if missing:
             prof = obs_spans.profiler()
@@ -140,7 +136,6 @@ class SurrogateModel:
             self.probes += len(missing)
             if h is not None:
                 h.end(probes=len(missing))
-        self.hits += cached
         return [self._traces[p] for p in wanted]
 
     def evaluate(

@@ -10,8 +10,8 @@ blocks through the :mod:`repro.store` scheduler when a store is given:
 each rung's seed comes from :func:`~repro.optimize.search.candidate_seed`
 (a pure function of the root seed and the rung), so a repeated or
 adjacent query finds its tasks already in the store and performs zero
-new simulator runs — pinned by test via the ``store.hits``/``misses``
-counters.
+new simulator runs — pinned by test via the ``store.lookup`` span's
+``hits``/``misses`` counters.
 """
 
 from __future__ import annotations

@@ -91,7 +91,7 @@ def plan_tasks(request: ServeRequest) -> TaskPlan:
     return TaskPlan(tasks, keys, slices)
 
 
-# repro: allow(flow-effects) — the serve tier's one sanctioned compute door: delegates to run_tasks (io+rng+time) on an executor thread; reached only through the service's injected execute callable
+# repro: allow(flow-effects) — the serve tier's one sanctioned compute door: delegates to run_tasks (io+rng) on an executor thread; reached only through the service's injected execute callable
 def execute_tasks(
     tasks: Sequence[tuple],
     keys: Sequence[str],

@@ -16,9 +16,9 @@ the serve test suite.  Consequently entries must be treated as
 immutable by callers, which they are everywhere in this codebase
 (results are frozen-by-convention dataclasses).
 
-Hit/miss counters land in the :mod:`repro.obs.metrics` registry (when
-enabled) under ``serve.memory.*``, following the hoisted-guard
-convention.
+Hit, miss and eviction counts are kept on the tier itself and read
+through :meth:`MemoryTier.stats`, which ``ReadThroughStore.stats()``
+nests under ``"memory"``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs import metrics as obs_metrics
 from repro.sim.results import RunResult
 from repro.store.backend import StoreBackend, open_store
 
@@ -64,16 +63,11 @@ class MemoryTier:
 
     def get(self, key: str) -> list[RunResult] | None:
         batch = self._entries.get(key)
-        reg = obs_metrics.registry()
         if batch is None:
             self.misses += 1
-            if reg.enabled:
-                reg.counter("serve.memory.misses").inc()
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        if reg.enabled:
-            reg.counter("serve.memory.hits").inc()
         return batch
 
     def put(self, key: str, batch: list[RunResult]) -> None:

@@ -41,7 +41,6 @@ from functools import partial
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from repro.errors import ConfigurationError, ServeError
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.optimize.spec import Evaluation, best_evaluation, evaluate_runs
 from repro.serve import compute
@@ -197,9 +196,6 @@ class QueryService:
         begin = prof.begin if prof.enabled else None
         h = begin("serve.query", "serve") if begin is not None else None
         self.stats.queries += 1
-        reg = obs_metrics.registry()
-        if reg.enabled:
-            reg.counter("serve.queries").inc()
         plan = self._plan_fn(request)
         results = await self._resolve_many(plan.keys, plan.tasks)
         query = request.query()
@@ -281,10 +277,6 @@ class QueryService:
             return
         batch, self._pending = self._pending, []
         self.stats.batches += 1
-        reg = obs_metrics.registry()
-        if reg.enabled:
-            reg.counter("serve.batches").inc()
-            reg.counter("serve.batched_tasks").inc(len(batch))
         task = asyncio.get_running_loop().create_task(self._run_batch(batch))
         self._batch_tasks.add(task)
         task.add_done_callback(self._batch_tasks.discard)

@@ -29,15 +29,14 @@ the vectorized engine.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.trace import BroadcastTrace
 from repro.des.simulator import Simulator
 from repro.errors import ProtocolError
-from repro.obs import metrics as obs_metrics
+from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.obs.events import NodeInformed, PhaseComplete, RunComplete, SlotResolved
 from repro.models.costs import EnergyLedger
@@ -261,8 +260,9 @@ class DesBroadcastSimulation:
         cfg = self.config
         tracer = obs_trace.get_tracer()
         self._emit = tracer.emit if tracer.enabled else None
-        reg = obs_metrics.registry()
-        t_run0 = time.perf_counter() if reg.enabled else 0.0
+        prof = obs_spans.profiler()
+        begin = prof.begin if prof.enabled else None
+        h = begin("des.run", "engine") if begin is not None else None
         source = self.deployment.source
         self.nodes[source].informed_at = 0.0
         self.nodes[source].informed_phase = 1
@@ -275,11 +275,8 @@ class DesBroadcastSimulation:
         self.sim.run(until=horizon)
 
         result = self._collect()
-        if reg.enabled:
-            reg.counter("des.runs").inc()
-            reg.counter("des.collisions").inc(self.collisions)
-            reg.timer("des.run").add(time.perf_counter() - t_run0)
-            result = replace(result, metrics=reg.snapshot())
+        if h is not None:
+            h.end(collisions=self.collisions)
         return result
 
     def _collect(self) -> RunResult:

@@ -13,15 +13,12 @@ block of replications together; :func:`run_broadcast` is a block of one.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from typing import Sequence
 
 from repro.analysis.trace import BroadcastTrace
 from repro.errors import ProtocolError
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.obs.events import (
@@ -121,8 +118,9 @@ def run_broadcast_batch(
     ``PhaseComplete``, ``RunComplete``) collect in a per-replication
     buffer that is flushed in replication order when the block ends, so
     a traced block of ``R`` emits exactly the concatenation of ``R``
-    blocks of one.  The metrics registry, when enabled, sees one
-    ``engine.run_batch`` timer sample per block.
+    blocks of one.  With a span sink attached, each block reports one
+    ``engine.run_batch`` span (``reps``) around one
+    ``engine.slot_loop`` span (``phases``, ``slots``, ``collisions``).
 
     Parameters
     ----------
@@ -152,15 +150,12 @@ def run_broadcast_batch(
     rngs = [np.random.default_rng(s) for s in seed_seqs]
 
     # Telemetry is hoisted to one check per block plus one None-test per
-    # slot, so a disabled tracer/registry/profiler costs nothing on the
-    # hot path.
+    # slot, so a disabled tracer/profiler costs nothing on the hot path.
     tracer = obs_trace.get_tracer()
     emit = tracer.emit if tracer.enabled else None
-    reg = obs_metrics.registry()
     prof = obs_spans.profiler()
     begin = prof.begin if prof.enabled else None
     h_run = begin("engine.run_batch", "engine") if begin is not None else None
-    t_run0 = time.perf_counter() if reg.enabled else 0.0
 
     h_deploy = begin("engine.deploy_batch", "engine") if begin is not None else None
     if deployments is None:
@@ -413,14 +408,6 @@ def run_broadcast_batch(
             slots=sum(len(s) for s in new_by_slot),
             collisions=sum(collisions),
         )
-    metrics_snapshot = None
-    if reg.enabled:
-        reg.counter("engine.runs").inc(n_reps)
-        reg.counter("engine.slots_resolved").inc(sum(len(s) for s in new_by_slot))
-        reg.counter("engine.collisions").inc(int(sum(collisions)))
-        reg.counter("engine.batches").inc()
-        reg.timer("engine.run_batch").add(time.perf_counter() - t_run0)
-        metrics_snapshot = reg.snapshot()
 
     results: list[RunResult] = []
     for r in range(n_reps):
@@ -449,7 +436,6 @@ def run_broadcast_batch(
             total_rx=int(ledger.rx_counts[lo:hi].sum()),
             seed_entropy=seed_seqs[r].entropy,
             informed_mask=informed[lo:hi].copy(),
-            metrics=metrics_snapshot,
         )
         results.append(result)
         if events is not None:

@@ -64,10 +64,6 @@ class RunResult:
     #: final per-node informed flags (source included), when the engine
     #: provides them; None for results reconstructed from series alone
     informed_mask: np.ndarray | None = field(default=None, repr=False)
-    #: :meth:`repro.obs.metrics.MetricsRegistry.snapshot` taken at run
-    #: end when metric collection was enabled; None otherwise.  Excluded
-    #: from comparisons: telemetry must never affect result identity.
-    metrics: dict | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property

@@ -11,10 +11,10 @@ of paying pool startup per point), and can optionally reuse one sampled
 deployment per ``(rho, replication)`` cell across all probabilities
 (common random numbers).
 
-Both entry points accept ``store=`` — a :class:`repro.store.DiskStore`
-or a path — to run through the content-addressed result store: cached
-tasks are served without computing, fresh completions are persisted and
-journaled as they land (so a killed sweep resumes where it died via
+Both entry points accept ``store=`` — any store backend, or a path —
+to run through the content-addressed result store: cached tasks are
+served without computing, fresh completions are persisted and journaled
+as they land (so a killed sweep resumes where it died via
 ``resume=True``), and results are bit-identical to a storeless run.
 
 Vector-engine work runs in replication blocks through
@@ -25,14 +25,12 @@ dispatched on its own is a block of one.  DES tasks run one by one.
 from __future__ import annotations
 
 import os
-import time
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.deployment import DiskDeployment
-from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import provenance as obs_provenance
 from repro.obs import spans as obs_spans
@@ -50,7 +48,8 @@ if TYPE_CHECKING:
 __all__ = ["replicate", "simulate_pb", "sweep_grid"]
 
 #: Accepted forms of the ``store=`` argument: an opened backend
-#: (classic or sharded), a directory path, or ``None`` (no caching).
+#: (classic, sharded or read-through), a directory path, or ``None``
+#: (no caching).
 StoreLike = Union["StoreBackend", str, "os.PathLike[str]", None]
 
 #: Accepted forms of the ``manifest_dir=`` argument.
@@ -66,11 +65,9 @@ DEFAULT_BLOCK_SIZE = 32
 def _execute(task: tuple) -> RunResult:
     """Worker entry point (top-level so it pickles)."""
     policy, config, child_seed, engine, alignment, deployment = task
-    reg = obs_metrics.registry()
     prof = obs_spans.profiler()
     begin = prof.begin if prof.enabled else None
     h = begin("runner.task", "runner") if begin is not None else None
-    t0 = time.perf_counter() if reg.enabled else 0.0
     if engine == "vector":
         from repro.sim.engine import run_broadcast
 
@@ -81,8 +78,6 @@ def _execute(task: tuple) -> RunResult:
         result = DesBroadcastSimulation(
             policy, config, child_seed, alignment=alignment, deployment=deployment
         ).run()
-    if reg.enabled:
-        reg.timer("runner.task").add(time.perf_counter() - t0)
     if h is not None:
         h.end()
     return result
@@ -105,14 +100,10 @@ def _execute_block(tasks: Sequence[tuple]) -> list[RunResult]:
     seeds = [t[2] for t in tasks]
     deployments = [t[5] for t in tasks]
     deps = deployments if deployments[0] is not None else None
-    reg = obs_metrics.registry()
     prof = obs_spans.profiler()
     begin = prof.begin if prof.enabled else None
     h = begin("runner.block", "runner") if begin is not None else None
-    t0 = time.perf_counter() if reg.enabled else 0.0
     results = run_broadcast_batch(policy, config, seeds, deployments=deps)
-    if reg.enabled:
-        reg.timer("runner.block").add(time.perf_counter() - t0)
     if h is not None:
         h.end(reps=len(tasks))
     return results
@@ -157,15 +148,16 @@ def _block_assignment(groups: Sequence[int], block_size: int) -> list[int]:
 
 
 def _open_store(store: StoreLike) -> "StoreBackend | None":
-    """Normalize the ``store=`` argument (lazy import keeps cold start lean)."""
-    if store is None:
-        return None
-    from repro.store.backend import DiskStore, ShardedBackend, open_store
+    """Normalize the ``store=`` argument (lazy import keeps cold start lean).
 
-    if isinstance(store, (DiskStore, ShardedBackend)):
-        return store
-    # A path opens as whatever layout its marker declares.
-    return open_store(store)
+    A path opens as whatever layout its marker declares; any other
+    value is already a backend and passes through.
+    """
+    if isinstance(store, (str, os.PathLike)):
+        from repro.store.backend import open_store
+
+        return open_store(store)
+    return store
 
 
 def _run_task_list(
@@ -278,10 +270,11 @@ def replicate(
         config, git SHA, environment, timings) to
         ``manifest_dir/manifest.json`` after the runs complete.
     store:
-        A :class:`repro.store.DiskStore` (or store directory path):
-        serve cached replications, persist fresh ones.  Results are
-        bit-identical with the store on, off, or warm; cached results
-        carry ``metrics=None`` (telemetry is never persisted).
+        A store backend (a :class:`repro.store.DiskStore`, a
+        :class:`repro.store.ShardedBackend`, a
+        :class:`repro.serve.ReadThroughStore`, ...) or a store directory
+        path: serve cached replications, persist fresh ones.  Results
+        are bit-identical with the store on, off, or warm.
     resume:
         With ``store``: append to this call's existing completion
         journal instead of starting a fresh one.
@@ -337,7 +330,6 @@ def replicate(
                 "policy": repr(policy),
                 "store": None if disk_store is None else str(disk_store.root),
             },
-            metrics=obs_metrics.registry().snapshot() or None,
             started=started,
         )
     if h is not None:
@@ -445,7 +437,7 @@ def sweep_grid(
         If given (a path), write a provenance manifest for the sweep to
         ``manifest_dir/manifest.json`` (see :func:`replicate`).
     store:
-        A :class:`repro.store.DiskStore` (or store directory path).
+        A store backend or store directory path, as in :func:`replicate`.
         Cache-hit tasks are served without computing; fresh completions
         are persisted and journaled *as they finish*, which makes the
         sweep crash-safe: killed at task 7,000 of 10,000, the next
@@ -583,7 +575,6 @@ def sweep_grid(
                 "store": None if disk_store is None else str(disk_store.root),
                 "resume": resume,
             },
-            metrics=obs_metrics.registry().snapshot() or None,
             started=started,
         )
     if h is not None:

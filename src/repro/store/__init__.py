@@ -30,8 +30,7 @@ makes grid sweeps survive being killed mid-run:
   (``stats``/``verify``/``gc``/``invalidate``).
 
 Results are bit-identical with the store off, cold, warm, or resumed
-mid-sweep; the only difference on a cached result is that the
-telemetry-only ``metrics`` field comes back ``None``.
+mid-sweep.
 """
 
 from repro.store.backend import (

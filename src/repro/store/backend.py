@@ -39,9 +39,7 @@ clock for :mod:`repro.store.gc` — a cache hit touches the file.
 
 Packing preserves dtypes and shapes exactly; unpacked results satisfy
 bit-identity with the originals (the acceptance bar for warm-cache
-sweeps).  The one deliberate exception: :attr:`RunResult.metrics` is a
-telemetry snapshot (``compare=False``, never part of result identity)
-and is not persisted — cached results come back with ``metrics=None``.
+sweeps).
 
 A boolean array (a run's per-node ``informed_mask``) is stored
 bit-packed, as ``bits``: the base64 of :func:`numpy.packbits` over the
@@ -155,7 +153,7 @@ def pack_result(result: RunResult) -> dict:
 
 
 def unpack_result(doc: dict) -> RunResult:
-    """Inverse of :func:`pack_result` (``metrics`` comes back ``None``)."""
+    """Inverse of :func:`pack_result`."""
     t = doc["trace"]
     trace = BroadcastTrace(
         config=AnalysisConfig(**t["config"]),

@@ -19,10 +19,12 @@
    structured :class:`~repro.errors.SchedulerError` naming every task
    that kept failing — after persisting everything that succeeded.
 
-Observability: hit/miss/put/corrupt counters and byte totals go to the
-:mod:`repro.obs.metrics` registry (when enabled), and each store
-operation emits a :class:`~repro.obs.events.StoreAccess` trace event
-through the process tracer (when a sink is attached), following the
+Observability: with a span sink attached, ``store.lookup`` closes
+with the ``hits``/``misses``/``corrupt`` counts and each execution
+round's ``store.execute`` with its ``attempt``, ``tasks`` and
+``failures`` (the backend's ``store.put`` spans carry ``nbytes``); with
+a tracer attached, each store operation emits a
+:class:`~repro.obs.events.StoreAccess` event.  Both follow the
 hoisted-guard convention of the engines.
 """
 
@@ -33,7 +35,6 @@ from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.errors import SchedulerError, StoreCorruptionError
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.obs.events import StoreAccess
@@ -99,10 +100,6 @@ class _Recorder:
         self.done += 1
         if self.store is not None:
             nbytes = self.store.put(self.keys[index], [result])
-            reg = obs_metrics.registry()
-            if reg.enabled:
-                reg.counter("store.puts").inc()
-                reg.counter("store.put_bytes").inc(nbytes)
             tracer = obs_trace.get_tracer()
             emit = tracer.emit if tracer.enabled else None
             if emit is not None:
@@ -214,7 +211,6 @@ def run_tasks(
         if h_journal is not None:
             h_journal.end(tasks=n)
 
-    reg = obs_metrics.registry()
     tracer = obs_trace.get_tracer()
     emit = tracer.emit if tracer.enabled else None
 
@@ -233,8 +229,6 @@ def run_tasks(
                 # Detected, dropped, recomputed — never served.
                 store.delete(key)
                 corrupt += 1
-                if reg.enabled:
-                    reg.counter("store.corrupt").inc()
                 if emit is not None:
                     emit(StoreAccess("corrupt", key, 0, 0))
                 batch = None
@@ -243,14 +237,10 @@ def run_tasks(
                 hits += 1
                 if journal is not None:
                     journal.append(i, key)
-                if reg.enabled:
-                    reg.counter("store.hits").inc()
                 if emit is not None:
                     emit(StoreAccess("hit", key, len(batch), 0))
             else:
                 missing.append((i, tasks[i]))
-        if reg.enabled:
-            reg.counter("store.misses").inc(len(missing))
         if emit is not None:
             for i, _ in missing:
                 emit(StoreAccess("miss", keys[i], 0, 0))
@@ -275,13 +265,10 @@ def run_tasks(
         if not pending:
             break
         rounds = attempt + 1
-        if attempt:
-            if reg.enabled:
-                reg.counter("store.retries").inc(len(pending))
-            if backoff > 0:
-                # Deterministic exponential schedule — no jitter, so a
-                # re-run of the same failing sweep waits identically.
-                time.sleep(backoff * 2 ** (attempt - 1))
+        if attempt and backoff > 0:
+            # Deterministic exponential schedule — no jitter, so a
+            # re-run of the same failing sweep waits identically.
+            time.sleep(backoff * 2 ** (attempt - 1))
         h_exec = begin("store.execute", "store") if begin is not None else None
         n_round = len(pending)
         if batch_execute is not None and block_of is not None and attempt == 0:
@@ -347,8 +334,6 @@ def run_tasks(
         journal.close()
     if store is not None:
         store.flush_index()
-    if reg.enabled and store is not None:
-        reg.counter("store.tasks_executed").inc(n - hits - len(failures))
 
     if failures:
         shown = ", ".join(str(f.index) for f in failures[:10])

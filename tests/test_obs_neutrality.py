@@ -1,9 +1,9 @@
 """Telemetry must never change results.
 
 Every engine/channel combination is run twice on identical seeds — once
-with tracing (and metric collection) active, once with everything off —
-and the two :class:`~repro.sim.results.RunResult`\\ s must be identical
-bit for bit.
+with tracing (or span capture, which collects every run counter)
+active, once with everything off — and the two
+:class:`~repro.sim.results.RunResult`\\ s must be identical bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.config import AnalysisConfig
-from repro.obs import capture, metrics
+from repro.obs import capture, capture_spans
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.desimpl import DesBroadcastSimulation
@@ -37,7 +37,7 @@ def _run(engine: str, config: SimulationConfig):
 
 
 def assert_identical(a, b) -> None:
-    """Field-by-field equality (``metrics`` excluded by design)."""
+    """Field-by-field equality."""
     assert np.array_equal(a.new_informed_by_slot, b.new_informed_by_slot)
     assert np.array_equal(a.broadcasts_by_slot, b.broadcasts_by_slot)
     assert a.n_field_nodes == b.n_field_nodes
@@ -74,7 +74,6 @@ def test_tracing_is_neutral(engine, channel, carrier_sense):
     with capture() as buf:
         traced = _run(engine, config)
     assert len(buf) > 0, "tracing was on but no events were emitted"
-    assert traced.metrics is None  # tracing alone must not snapshot metrics
     assert_identical(plain, traced)
 
 
@@ -84,17 +83,22 @@ def test_tracing_is_neutral(engine, channel, carrier_sense):
     ids=[f"{e}-{c}{'-cs' if s else ''}" for e, c, s in CASES],
 )
 def test_metrics_collection_is_neutral(engine, channel, carrier_sense):
+    """Span capture leaves the physics unchanged, and the run's span
+    counts the collisions its result reports."""
     config = _config(channel, carrier_sense)
     plain = _run(engine, config)
-    with metrics.collect():
+    with capture_spans() as buf:
         collected = _run(engine, config)
-    assert collected.metrics  # snapshot attached...
-    assert_identical(plain, collected)  # ...but the physics unchanged
+    assert_identical(plain, collected)
+    span = "engine.slot_loop" if engine == "vector" else "des.run"
+    (run,) = buf.named(span)
+    assert run.counters["collisions"] == collected.collisions
 
 
 def test_tracing_and_metrics_together_are_neutral():
     config = _config("cam", False)
-    plain = _run("vector", config)
-    with capture(), metrics.collect():
-        both = _run("vector", config)
-    assert_identical(plain, both)
+    for engine in ("vector", "des"):
+        plain = _run(engine, config)
+        with capture(), capture_spans():
+            both = _run(engine, config)
+        assert_identical(plain, both)

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro.analysis.config import AnalysisConfig
-from repro.obs import provenance
+from repro.obs import capture, capture_spans, provenance
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
+from repro.sim.results import RunResult
 from repro.sim.runner import replicate, sweep_grid
 
 
@@ -118,6 +120,33 @@ class TestRunnerManifests:
         assert doc["params"]["replications"] == 2
         assert doc["params"]["engine"] == "vector"
         assert len(results) == 2
+
+    def test_manifest_carries_nothing_from_an_earlier_region(
+        self, tmp_path, sim_config
+    ):
+        """A manifest describes its own call only: an instrumented region
+        run earlier in the process leaves nothing in it, and neither a
+        result nor a manifest has a field for process-wide telemetry."""
+        policy = ProbabilisticRelay(0.5)
+        replicate(policy, sim_config, 2, 11, manifest_dir=tmp_path / "alone")
+        with capture(), capture_spans() as buf:
+            replicate(policy, sim_config, 3, 5)
+        assert sum(s.counters["reps"] for s in buf.named("engine.run_batch")) == 3
+        replicate(policy, sim_config, 2, 11, manifest_dir=tmp_path / "after")
+
+        volatile = {"created_unix", "wall_time_s", "cpu_time_s"}
+        alone, after = (
+            {
+                k: v
+                for k, v in provenance.load_manifest(tmp_path / d).items()
+                if k not in volatile
+            }
+            for d in ("alone", "after")
+        )
+        assert after == alone
+        assert "metrics" not in {f.name for f in dataclasses.fields(RunResult)}
+        with pytest.raises(TypeError):
+            provenance.write_manifest(tmp_path, "replicate", metrics={"runs": 3})
 
     def test_sweep_grid_manifest_reproduces_run(self, tmp_path, sim_config):
         grid = sweep_grid(

@@ -2,8 +2,9 @@
 
 The acceptance-critical pin lives here: a repeated query against a warm
 result store performs **zero** new simulator runs — every Monte-Carlo
-task is served from the store (``store.misses == 0``,
-``store.tasks_executed == 0``) and the frontier is bit-identical.
+task is served from the store (the ``store.lookup`` span counts no
+misses, and no ``store.execute`` round runs) and the frontier is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import pytest
 
 from repro.analysis.config import AnalysisConfig
 from repro.errors import ConfigurationError
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.events import SearchStep
+from repro.obs.spans import capture_spans
 from repro.optimize import optimize
 from repro.sim.config import SimulationConfig
 
@@ -34,13 +35,9 @@ KNOBS = dict(
 )
 
 
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    reg = obs_metrics.registry()
-    assert not reg.enabled
-    yield
-    reg.disable()
-    reg.reset()
+def total(buf, name: str, counter: str) -> float:
+    """Sum of one counter over every span of one name."""
+    return sum(s.counters.get(counter, 0.0) for s in buf.named(name))
 
 
 class TestOptimize:
@@ -100,15 +97,30 @@ class TestWarmStore:
         store = str(tmp_path / "store")
         cold = optimize(CONFIG, **KNOBS, store=store)
 
-        with obs_metrics.collect() as reg:
+        with capture_spans() as buf:
             warm = optimize(CONFIG, **KNOBS, store=store)
-            snap = reg.snapshot()
 
-        assert snap.get("store.misses", 0) == 0
-        assert snap.get("store.tasks_executed", 0) == 0
-        assert snap["store.hits"] > 0
+        assert total(buf, "store.lookup", "misses") == 0
+        executed = total(buf, "store.execute", "tasks") - total(
+            buf, "store.execute", "failures"
+        )
+        assert executed == 0
+        assert total(buf, "store.lookup", "hits") > 0
         # Same answer, bit for bit.
         assert warm.to_dict() == cold.to_dict()
+
+    def test_read_through_store_matches_storeless(self, tmp_path):
+        """optimize() reaches the runner's store argument through
+        verification, so a read-through store must work there too."""
+        from repro.serve import ReadThroughStore
+
+        plain = optimize(CONFIG, **KNOBS)
+        store = ReadThroughStore(tmp_path / "store")
+        cold = optimize(CONFIG, **KNOBS, store=store)
+        warm = optimize(CONFIG, **KNOBS, store=store)
+        assert cold.to_dict() == plain.to_dict()
+        assert warm.to_dict() == plain.to_dict()
+        assert store.memory.hits == warm.sim_tasks
 
     def test_shared_rungs_reused_across_queries(self, tmp_path):
         """A different query hitting the same rungs reuses their tasks."""
@@ -116,13 +128,12 @@ class TestWarmStore:
         first = optimize(CONFIG, **KNOBS, store=store)
 
         other = {**KNOBS, "bounds": {"latency": 4.0}}
-        with obs_metrics.collect() as reg:
+        with capture_spans() as buf:
             second = optimize(CONFIG, **other, store=store)
-            snap = reg.snapshot()
 
         shared = set(first.candidates) & set(second.candidates)
         if shared:  # seeds are per-(seed, rung): shared rungs must hit
-            assert snap.get("store.hits", 0) > 0
+            assert total(buf, "store.lookup", "hits") > 0
 
 
 class TestTelemetry:
@@ -137,13 +148,12 @@ class TestTelemetry:
         assert {s.rung for s in verifies} == set(result.candidates)
 
     def test_counters(self):
-        with obs_metrics.collect() as reg:
+        with capture_spans() as buf:
             result = optimize(CONFIG, **KNOBS)
-            snap = reg.snapshot()
-        assert snap["optimize.searches"] == 1
-        assert snap["optimize.restarts"] == 2
-        assert snap["optimize.surrogate_probes"] == result.surrogate_probes
-        assert snap["optimize.sim_tasks"] == result.sim_tasks
+        (search,) = buf.named("optimize.search")
+        assert search.counters["restarts"] == 2
+        assert search.counters["probes"] == result.surrogate_probes
+        assert total(buf, "optimize.query", "sim_tasks") == result.sim_tasks
 
     def test_manifest(self, tmp_path):
         result = optimize(CONFIG, **KNOBS, manifest_dir=tmp_path)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.config import AnalysisConfig
-from repro.obs import metrics as obs_metrics
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import replicate
@@ -65,13 +64,11 @@ class TestMemoryTier:
     def test_hit_miss_counters(self):
         tier = MemoryTier(max_entries=4)
         tier.put("a", 1)
-        with obs_metrics.collect() as reg:
-            tier.get("a")
-            tier.get("a")
-            tier.get("zzz")
-            snap = reg.snapshot()
-        assert snap["serve.memory.hits"] == 2
-        assert snap["serve.memory.misses"] == 1
+        tier.get("a")
+        tier.get("a")
+        tier.get("zzz")
+        assert tier.stats()["hits"] == 2
+        assert tier.stats()["misses"] == 1
 
     def test_discard_and_clear(self):
         tier = MemoryTier(max_entries=4)

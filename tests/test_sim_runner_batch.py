@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.config import AnalysisConfig
 from repro.errors import ConfigurationError
-from repro.obs import capture, metrics
+from repro.obs import capture, capture_spans
 from repro.obs.progress import SweepProgress
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
@@ -40,7 +40,7 @@ def cfg():
 
 
 def assert_identical(a, b) -> None:
-    """Field-by-field equality (``metrics`` excluded by design)."""
+    """Field-by-field equality."""
     assert np.array_equal(a.new_informed_by_slot, b.new_informed_by_slot)
     assert np.array_equal(a.broadcasts_by_slot, b.broadcasts_by_slot)
     assert a.n_field_nodes == b.n_field_nodes
@@ -104,16 +104,16 @@ class TestSweepGridBlocks:
 
 class TestTelemetryNeutrality:
     def test_metrics_on_off_bit_identical(self, cfg):
-        """Satellite: metric collection must not perturb the batched
-        path (same RNG consumption, same results)."""
+        """Span capture, which collects the run counters, must not
+        perturb the batched path (same RNG consumption, same results)."""
         plain = replicate(ProbabilisticRelay(0.6), cfg, 4, seed=SEED, block_size=4)
-        with metrics.collect():
+        with capture_spans() as buf:
             collected = replicate(
                 ProbabilisticRelay(0.6), cfg, 4, seed=SEED, block_size=4
             )
         assert_runs_identical(plain, collected)
-        assert plain[0].metrics is None
-        assert collected[0].metrics
+        (loop,) = buf.named("engine.slot_loop")
+        assert loop.counters["collisions"] == sum(r.collisions for r in collected)
 
     def test_traced_blocks_match_blocks_of_one(self, cfg):
         """A traced block of three emits the three runs' event streams

@@ -68,7 +68,6 @@ class TestPackUnpack:
 
     def test_metrics_not_persisted(self, runs):
         assert "metrics" not in pack_result(runs[0])
-        assert unpack_result(pack_result(runs[0])).metrics is None
 
 
 def write_entry(store, key, payload, result_schema):

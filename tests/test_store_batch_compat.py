@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.config import AnalysisConfig
+from repro.obs.spans import capture_spans
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import run_broadcast, run_broadcast_batch
@@ -44,6 +45,10 @@ def assert_runs_identical(a, b):
         np.testing.assert_array_equal(
             x.trace.new_by_phase_ring, y.trace.new_by_phase_ring
         )
+
+
+def store_hits(buf) -> float:
+    return sum(s.counters["hits"] for s in buf.named("store.lookup"))
 
 
 class TestKeyIdentity:
@@ -85,18 +90,25 @@ class TestCrossPathCache:
     def test_cold_batched_serves_warm_per_run(self, cfg, tmp_path):
         policy = ProbabilisticRelay(0.5)
         cold = replicate(policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=4)
-        warm = replicate(policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=0)
+        with capture_spans() as buf:
+            warm = replicate(
+                policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=0
+            )
         assert_runs_identical(cold, warm)
-        # The warm pass was all hits: telemetry is never persisted, so
-        # every result coming back from disk carries metrics=None.
-        assert all(r.metrics is None for r in warm)
+        # The warm pass was all hits: nothing ran in the engine.
+        assert store_hits(buf) == 4
+        assert not buf.named("engine.run_batch")
 
     def test_cold_per_run_serves_warm_batched(self, cfg, tmp_path):
         policy = ProbabilisticRelay(0.5)
         cold = replicate(policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=0)
-        warm = replicate(policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=4)
+        with capture_spans() as buf:
+            warm = replicate(
+                policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=4
+            )
         assert_runs_identical(cold, warm)
-        assert all(r.metrics is None for r in warm)
+        assert store_hits(buf) == 4
+        assert not buf.named("engine.run_batch")
 
     def test_partial_warm_blocks_reform_over_misses(self, cfg, tmp_path):
         """Warm a prefix per-run, then run the full set batched: the
@@ -104,10 +116,15 @@ class TestCrossPathCache:
         the misses, with results identical to storeless execution."""
         policy = ProbabilisticRelay(0.5)
         replicate(policy, cfg, 2, seed=9, store=tmp_path / "s", block_size=0)
-        full = replicate(policy, cfg, 6, seed=9, store=tmp_path / "s", block_size=3)
+        with capture_spans() as buf:
+            full = replicate(
+                policy, cfg, 6, seed=9, store=tmp_path / "s", block_size=3
+            )
         off = replicate(policy, cfg, 6, seed=9, block_size=0)
         assert_runs_identical(full, off)
-        assert all(r.metrics is None for r in full[:2])
+        assert store_hits(buf) == 2
+        # Block [0, 1, 2] keeps only its miss; block [3, 4, 5] runs whole.
+        assert [s.counters["reps"] for s in buf.named("runner.block")] == [1, 3]
 
     def test_sweep_grid_cross_path(self, cfg, tmp_path):
         cold = sweep_grid(
@@ -119,16 +136,18 @@ class TestCrossPathCache:
             store=tmp_path / "s",
             block_size=3,
         )
-        warm = sweep_grid(
-            cfg,
-            [15.0],
-            [0.4, 0.8],
-            3,
-            seed=5,
-            store=tmp_path / "s",
-            block_size=0,
-        )
+        with capture_spans() as buf:
+            warm = sweep_grid(
+                cfg,
+                [15.0],
+                [0.4, 0.8],
+                3,
+                seed=5,
+                store=tmp_path / "s",
+                block_size=0,
+            )
         assert cold.keys() == warm.keys()
         for point in cold:
             assert_runs_identical(cold[point], warm[point])
-            assert all(r.metrics is None for r in warm[point])
+        assert store_hits(buf) == 6
+        assert not buf.named("engine.run_batch")

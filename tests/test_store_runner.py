@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.config import AnalysisConfig
 from repro.errors import SchedulerError
-from repro.obs import metrics as obs_metrics
+from repro.obs import capture_spans
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import replicate, simulate_pb, sweep_grid
@@ -31,7 +31,7 @@ class _FailingRelay(ProbabilisticRelay):
         raise RuntimeError("simulated crash")
 
 
-def assert_runs_identical(a, b, *, expect_cached_metrics_none=False):
+def assert_runs_identical(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b, strict=True):
         np.testing.assert_array_equal(x.new_informed_by_slot, y.new_informed_by_slot)
@@ -50,8 +50,14 @@ def assert_runs_identical(a, b, *, expect_cached_metrics_none=False):
         assert x.trace.config == y.trace.config
         if x.informed_mask is not None:
             np.testing.assert_array_equal(x.informed_mask, y.informed_mask)
-        if expect_cached_metrics_none:
-            assert y.metrics is None
+
+
+def lookups(buf) -> dict[str, float]:
+    """The store's hit/miss/corrupt counts summed over a span capture."""
+    return {
+        key: sum(s.counters[key] for s in buf.named("store.lookup"))
+        for key in ("hits", "misses", "corrupt")
+    }
 
 
 @pytest.mark.parametrize("engine", ["vector", "des"])
@@ -62,11 +68,14 @@ class TestReplicateThroughStore:
         cold = replicate(
             policy, cfg, 3, seed=9, engine=engine, store=tmp_path / "s"
         )
-        warm = replicate(
-            policy, cfg, 3, seed=9, engine=engine, store=tmp_path / "s"
-        )
+        with capture_spans() as buf:
+            warm = replicate(
+                policy, cfg, 3, seed=9, engine=engine, store=tmp_path / "s"
+            )
         assert_runs_identical(off, cold)
-        assert_runs_identical(off, warm, expect_cached_metrics_none=True)
+        assert_runs_identical(off, warm)
+        assert lookups(buf)["hits"] == 3
+        assert not buf.named("store.execute")
 
     def test_store_accepts_path_or_instance(self, cfg, tmp_path, engine):
         store = DiskStore(tmp_path / "s")
@@ -76,6 +85,21 @@ class TestReplicateThroughStore:
             store=str(tmp_path / "s"),
         )
         assert_runs_identical(a, b)
+
+    def test_read_through_store_is_a_backend(self, cfg, tmp_path, engine):
+        """A read-through store passes through like any other backend:
+        runs through it equal a storeless run, and the warm run is
+        served from its memory tier."""
+        from repro.serve import ReadThroughStore
+
+        policy = ProbabilisticRelay(0.5)
+        off = replicate(policy, cfg, 3, seed=9, engine=engine)
+        store = ReadThroughStore(DiskStore(tmp_path / "s"))
+        cold = replicate(policy, cfg, 3, seed=9, engine=engine, store=store)
+        warm = replicate(policy, cfg, 3, seed=9, engine=engine, store=store)
+        assert_runs_identical(off, cold)
+        assert_runs_identical(off, warm)
+        assert store.memory.hits == 3
 
 
 @pytest.mark.parametrize("engine", ["vector", "des"])
@@ -89,20 +113,17 @@ class TestSweepGridThroughStore:
             cfg, self.RHOS, self.PS, 2, seed=7, engine=engine,
             store=tmp_path / "s",
         )
-        with obs_metrics.collect() as reg:
+        with capture_spans() as buf:
             warm = sweep_grid(
                 cfg, self.RHOS, self.PS, 2, seed=7, engine=engine,
                 store=tmp_path / "s",
             )
-            snap = reg.snapshot()
         n_tasks = len(self.RHOS) * len(self.PS) * 2
-        assert snap["store.hits"] == n_tasks
-        assert snap.get("store.misses", 0) == 0
+        assert lookups(buf)["hits"] == n_tasks
+        assert lookups(buf)["misses"] == 0
         for key in off:
             assert_runs_identical(off[key], cold[key])
-            assert_runs_identical(
-                off[key], warm[key], expect_cached_metrics_none=True
-            )
+            assert_runs_identical(off[key], warm[key])
 
     def test_kill_and_resume_bit_identical(self, cfg, tmp_path, engine):
         """A sweep that crashes partway resumes without recomputing the
@@ -119,16 +140,15 @@ class TestSweepGridThroughStore:
                 policy_factory=crashing_factory,
                 store=tmp_path / "s", retries=0,
             )
-        with obs_metrics.collect() as reg:
+        with capture_spans() as buf:
             resumed = sweep_grid(
                 cfg, self.RHOS, self.PS, 2, seed=7, engine=engine,
                 store=tmp_path / "s", resume=True,
             )
-            snap = reg.snapshot()
         # The surviving half was served from the store, not recomputed.
         n_tasks = len(self.RHOS) * len(self.PS) * 2
-        assert snap["store.hits"] == n_tasks // 2
-        assert snap["store.misses"] == n_tasks // 2
+        assert lookups(buf)["hits"] == n_tasks // 2
+        assert lookups(buf)["misses"] == n_tasks // 2
         for key in clean:
             assert_runs_identical(clean[key], resumed[key])
 
@@ -140,13 +160,12 @@ class TestSweepGridThroughStore:
         store = DiskStore(tmp_path / "s")
         victim = next(iter(store.keys()))
         store.path_for(victim).write_text("bit rot")
-        with obs_metrics.collect() as reg:
+        with capture_spans() as buf:
             healed = sweep_grid(
                 cfg, self.RHOS, self.PS, 2, seed=7, engine=engine, store=store
             )
-            snap = reg.snapshot()
-        assert snap["store.corrupt"] == 1
-        assert snap["store.misses"] == 1
+        assert lookups(buf)["corrupt"] == 1
+        assert lookups(buf)["misses"] == 1
         for key in clean:
             assert_runs_identical(clean[key], healed[key])
         assert store.verify() == []
@@ -170,8 +189,10 @@ class TestSimulatePbParity:
 
     def test_forwards_store(self, cfg, tmp_path):
         a = simulate_pb(cfg, 0.4, replications=2, seed=3, store=tmp_path / "s")
-        b = simulate_pb(cfg, 0.4, replications=2, seed=3, store=tmp_path / "s")
-        assert_runs_identical(a, b, expect_cached_metrics_none=True)
+        with capture_spans() as buf:
+            b = simulate_pb(cfg, 0.4, replications=2, seed=3, store=tmp_path / "s")
+        assert_runs_identical(a, b)
+        assert lookups(buf)["hits"] == 2
 
     def test_alignment_changes_des_results(self, cfg):
         phase = simulate_pb(cfg, 0.4, replications=2, seed=3, engine="des")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.config import AnalysisConfig
 from repro.errors import SchedulerError
-from repro.obs import metrics as obs_metrics
+from repro.obs import capture_spans
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import replicate
@@ -86,12 +86,12 @@ class TestColdAndWarm:
 
     def test_hit_miss_counters(self, store, results):
         run_tasks(CountingExecute(results), TASKS[:2], KEYS[:2], store=store)
-        with obs_metrics.collect() as reg:
+        with capture_spans() as buf:
             run_tasks(CountingExecute(results), TASKS, KEYS, store=store)
-            snap = reg.snapshot()
-        assert snap["store.hits"] == 2
-        assert snap["store.misses"] == 2
-        assert snap["store.puts"] == 2
+        (lookup,) = buf.named("store.lookup")
+        assert lookup.counters["hits"] == 2
+        assert lookup.counters["misses"] == 2
+        assert len(buf.named("store.put")) == 2
 
 
 class TestCorruption:
