@@ -73,9 +73,7 @@ def test_cam_flooding_resolve_rho140_reference(benchmark, dense_flood):
     """The per-transmitter loop kernel, kept as the comparison baseline."""
     channel, tx = dense_flood
     counts, _ = benchmark.pedantic(
-        lambda: channel._counts_and_senders_reference(
-            tx, channel.topology.indptr, channel.topology.indices
-        ),
+        lambda: channel._counts_and_senders_reference(tx),
         rounds=3,
         iterations=1,
     )

@@ -1,8 +1,8 @@
 """One 32-replication block vs 32 blocks of one.
 
 The engine has one slot loop; :func:`~repro.sim.engine.run_broadcast`
-is a block of one.  A 32-replication block pays for one stacked
-topology build and one channel-resolution pass per slot instead of 32,
+is a block of one.  A 32-replication block pays for one band index
+and one query-plus-resolution pass per slot instead of 32,
 so the ``per_run`` cases here time 32 sequential blocks of one and the
 ``batched`` cases one block of 32.  Timings land in ``BENCH_perf.json``
 via ``--perf-json``; the ``baseline:`` aliases there keep each block of

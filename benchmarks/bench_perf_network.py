@@ -1,21 +1,20 @@
-"""Microbenchmarks of deployment sampling and topology construction.
+"""Microbenchmarks of deployment sampling and neighbor lookup.
 
-Topology construction dominates per-replication cost in the Monte-Carlo
-sweeps (the broadcast itself touches far fewer node pairs), so the
-band-sweep CSR builder is the component worth watching: once per run
-(``build_disk_graph_csr``, behind ``Topology``) and once per 32-run
-block (``build_disk_graph_csr_stacked``, behind ``StackedTopology``).
-The per-run 3500-node build carries an absolute seed baseline in
-``BENCH_perf.json``; the stacked block is seeded relative to the same
-32 fields built one ``build_disk_graph_csr`` call at a time, measured
-in the same run, so it guards "stacking costs no more than a loop" on
-any machine.
+Two structures answer "who hears whom": the band-sweep CSR builder
+(``build_disk_graph_csr``, behind ``Topology``), which the DES, TDMA and
+neighbor-knowledge policies read, and the block index (``BlockIndex``)
+that the vectorized engine queries once per slot for that slot's
+transmitters.  The per-run 3500-node CSR build carries an absolute seed
+baseline in ``BENCH_perf.json``.  The block-query cases time one
+32-field rho=140 block's index plus every query of a p=0.1 and of a
+flooding schedule; the 32 per-field CSR builds are the edge-list work
+such a block no longer does.
 """
 
 import numpy as np
 
 from repro.network.deployment import DeploymentBatch, DiskDeployment
-from repro.network.topology import build_disk_graph_csr, build_disk_graph_csr_stacked
+from repro.network.topology import BlockIndex, build_disk_graph_csr
 
 
 def _positions(n, rng):
@@ -44,21 +43,45 @@ def _block_rho140() -> DeploymentBatch:
     return DeploymentBatch.sample(rho=140, n_rings=5, rngs=rngs)
 
 
-def test_csr_build_stacked_32_reps_rho140(benchmark):
-    """One block of the batched engine: 32 stacked rho=140 fields."""
+def _schedule(batch: DeploymentBatch, fraction: float, slots: int = 40) -> list:
+    """A block's slots: a random ``fraction`` of its nodes, each
+    transmitting once, dealt into ``slots`` transmitter sets."""
+    rng = np.random.default_rng(5)
+    tx = np.flatnonzero(rng.random(batch.n_nodes_total) < fraction)
+    return [np.sort(part) for part in np.array_split(rng.permutation(tx), slots)]
+
+
+def _query_block(batch: DeploymentBatch, schedule: list) -> int:
+    index = BlockIndex(batch.positions, batch.node_offsets, batch.radius)
+    for tx in schedule:
+        index.neighbor_pairs(tx)
+    return index.pairs
+
+
+def test_block_query_pb01_32_reps_rho140(benchmark):
+    """A p=0.1 block's graph work: the index plus its slots' queries."""
     batch = _block_rho140()
-    indptr, indices = benchmark(
-        lambda: build_disk_graph_csr_stacked(
-            batch.positions, batch.node_offsets, batch.radius
-        )
+    schedule = _schedule(batch, 0.1)
+    pairs = benchmark.pedantic(
+        lambda: _query_block(batch, schedule), rounds=5, iterations=1
     )
-    assert len(indptr) == batch.n_nodes_total + 1 == 32 * 3501 + 1
-    assert 100 < len(indices) / len(batch.positions) < 180
+    n_tx = sum(len(tx) for tx in schedule)
+    assert 100 < pairs / n_tx < 180
+
+
+def test_block_query_flooding_32_reps_rho140(benchmark):
+    """A flooding block's graph work: every node transmits once."""
+    batch = _block_rho140()
+    schedule = _schedule(batch, 1.0)
+    pairs = benchmark.pedantic(
+        lambda: _query_block(batch, schedule), rounds=3, iterations=1
+    )
+    assert 100 < pairs / batch.n_nodes_total < 180
 
 
 def test_csr_build_per_field_32_reps_rho140(benchmark):
     """The same 32 fields, one ``build_disk_graph_csr`` call each: the
-    baseline of the stacked block's relative claim."""
+    edge lists a block no longer builds."""
     batch = _block_rho140()
     offsets = batch.node_offsets
     fields = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.channel import Channel, Delivery, gather_neighbors
+from repro.models.channel import Channel, Delivery
 
 __all__ = ["CollisionFreeChannel"]
 
@@ -25,8 +25,8 @@ class CollisionFreeChannel(Channel):
     across senders), the delivery reports the lowest-id sender for
     determinism.  That tie-break is an elementwise minimum over each
     receiver's transmitting neighbors, so one ``np.minimum.at`` scatter
-    over the neighbor gather resolves the slot — over a stacked CSR,
-    every replication's slot at once.
+    over the graph's neighbor pairs resolves the slot — over a block
+    index, every replication's slot at once.
     """
 
     def resolve_slot(self, transmitters: np.ndarray) -> Delivery:
@@ -35,9 +35,7 @@ class CollisionFreeChannel(Channel):
         if tx.size == 0:
             return Delivery(receivers=empty, senders=empty.copy(), collided=empty.copy())
         n = self.topology.n_nodes
-        receivers_flat, senders_flat = gather_neighbors(
-            tx, self.topology.indptr, self.topology.indices
-        )
+        receivers_flat, senders_flat = self.topology.neighbor_pairs(tx)
         # n is one past any valid id, so min(n, senders) is the lowest
         # transmitting neighbor where one exists and n elsewhere.
         sender_of = np.full(n, n, dtype=np.int64)

@@ -6,11 +6,12 @@ drivers delegate that question here, so the slotted collision semantics
 of Sec. 3.2 live in exactly one class per model (the DES oracle
 re-derives them in continuous time).
 
-A channel resolves a slot over any CSR topology: one deployment's
-:class:`~repro.network.topology.Topology` or a
-:class:`~repro.network.topology.StackedTopology` of many replications.
-Channels emit no trace events; whoever drives one reports
-``ChannelDelivery`` records itself.
+A channel resolves a slot from the ``(receiver, sender)`` pairs its
+graph yields for the slot's transmitters: one deployment's
+:class:`~repro.network.topology.Topology` gathers them from its CSR, and
+a :class:`~repro.network.topology.BlockIndex` of many replications
+queries its band index for them.  Channels emit no trace events;
+whoever drives one reports ``ChannelDelivery`` records itself.
 """
 
 from __future__ import annotations
@@ -20,47 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.network.topology import StackedTopology, Topology
+from repro.network.topology import BlockIndex, Topology
 
-__all__ = ["Delivery", "Channel", "gather_neighbors"]
-
-
-def gather_neighbors(
-    tx: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``(receivers, senders)`` pairs of all transmitters' CSR slices.
-
-    One fancy index gathers every transmitter's neighbor slice;
-    ``receivers[k]`` hears ``senders[k]``.  This is the shared front end
-    of both collision kernels; a stacked CSR with disjoint
-    per-replication id ranges makes the gather over ``R`` topologies the
-    same operation as over one.
-
-    The flat positions are built as a cumsum of unit steps with a jump
-    to the next slice start at each boundary (cheaper than
-    ``repeat`` + ``arange``); back-to-back slices (e.g. flooding where
-    every node transmits) collapse to a single contiguous view.
-    """
-    starts = indptr[tx]
-    ends = indptr[tx + 1]
-    lengths = ends - starts
-    total = int(lengths.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy()
-    nz = lengths > 0
-    s_nz = starts[nz]
-    e_nz = ends[nz]
-    if np.array_equal(s_nz[1:], e_nz[:-1]):
-        receivers = indices[s_nz[0] : e_nz[-1]]
-    else:
-        bounds = np.cumsum(lengths[nz])
-        steps = np.ones(total, dtype=np.int64)
-        steps[0] = s_nz[0]
-        steps[bounds[:-1]] = s_nz[1:] - e_nz[:-1] + 1
-        receivers = indices[np.cumsum(steps)]
-    senders = np.repeat(tx, lengths)
-    return receivers, senders
+__all__ = ["Delivery", "Channel"]
 
 
 @dataclass(frozen=True)
@@ -93,7 +56,7 @@ class Delivery:
 class Channel(ABC):
     """Resolves concurrent transmissions into per-receiver deliveries."""
 
-    def __init__(self, topology: Topology | StackedTopology) -> None:
+    def __init__(self, topology: Topology | BlockIndex) -> None:
         self.topology = topology
 
     @abstractmethod

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.geometry.rings import RingPartition
 from repro.geometry.sampling import sample_disk
-from repro.network.topology import StackedTopology, Topology
+from repro.network.topology import Topology
 from repro.utils.validation import check_in, check_positive, check_positive_int
 
 __all__ = ["DiskDeployment", "DeploymentBatch"]
@@ -244,17 +244,6 @@ class DeploymentBatch:
         partition = RingPartition(self.n_rings, self.radius)
         radial = np.hypot(self.positions[:, 0], self.positions[:, 1])
         return np.asarray(partition.ring_of(radial))
-
-    def stacked_topology(
-        self, *, carrier_radius: float | None = None
-    ) -> StackedTopology:
-        """One stacked CSR adjacency serving every replication."""
-        return StackedTopology(
-            self.positions,
-            self.node_offsets,
-            self.radius,
-            carrier_radius=carrier_radius,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,31 +1,26 @@
-"""Unit-disk communication graphs in CSR form.
+"""Unit-disk communication graphs: CSR adjacency and block band index.
 
 The communication graph of assumption 2 connects every pair of nodes
-within transmission radius ``r``.  For the vectorized engine we need the
-adjacency as flat CSR arrays (``indptr``/``indices``), and we need to
-build it fast for thousands of Monte-Carlo replications.  One builder
-does it, a band sweep: the points are sorted once by (horizontal band
-of height ``r/2``, ``x``), so a point's possible partners in its own
-band and in each of the next two are one contiguous run of the sorted
-order, which ``searchsorted`` finds on an ``x``-window narrowed to
-``sqrt(r^2 - gap^2)`` for that band's vertical gap.  All distance work
-happens on flat candidate-pair arrays, one per band offset (~1.3
-candidates per edge); there is no Python loop over points or cells.
+within transmission radius ``r``.  Both structures here rest on one
+sort, a band sweep: points ordered by (horizontal band of height
+``r/2``, ``x``), so a point's possible partners in a band within reach
+are one contiguous run of the sorted order, which ``searchsorted`` finds
+on an ``x``-window narrowed to ``sqrt(r^2 - gap^2)`` for that band's
+vertical gap.  All distance work happens on flat candidate-pair arrays
+(~1.3 candidates per edge); there is no Python loop over points or
+cells.
 
-The same builder gives the ``carrier_radius`` graph of Appendix A on
-demand (neighbors within carrier-sense range but *also* within it —
-the carrier graph includes the transmission graph; CAM code subtracts
-as needed).
-
-For replication-batched Monte-Carlo, :class:`StackedTopology` stores
-``R`` independent deployments as one CSR structure over globally
-renumbered nodes (replication ``r`` owns ids
-``[node_offsets[r], node_offsets[r+1])``), so a single gather/bincount
-pass serves every replication's slot at once.  Its builder
-(:func:`build_disk_graph_csr_stacked`) runs the band sweep on one
-replication at a time and splices the blocks together with their
-global id offsets, so cross-replication edges are impossible by
-construction.
+* :func:`build_disk_graph_csr` turns one field's sweep into flat CSR
+  arrays (``indptr``/``indices``).  :class:`Topology` wraps them, and
+  builds the ``carrier_radius`` graph of Appendix A on demand (the
+  carrier graph includes the transmission graph; CAM code subtracts as
+  needed).  The DES, TDMA, convergecast and the neighbor-knowledge
+  policy read it.
+* :class:`BlockIndex` keeps the sort itself for a block of replications
+  that the vectorized engine advances together, and answers each slot
+  with one query over that slot's transmitters: their ``(receiver,
+  sender)`` pairs, the multiset a CSR gather would yield.  No edge list
+  is ever built, so a slot's graph work grows with its transmissions.
 """
 
 from __future__ import annotations
@@ -38,10 +33,10 @@ import numpy as np
 from repro.utils.validation import check_positive
 
 __all__ = [
+    "BlockIndex",
     "Topology",
-    "StackedTopology",
     "build_disk_graph_csr",
-    "build_disk_graph_csr_stacked",
+    "gather_neighbors",
 ]
 
 
@@ -52,11 +47,21 @@ __all__ = [
 _BAND = 0.5
 
 #: Padding of the search reach, relative to the radius plus the largest
-#: coordinate magnitude.  It dwarfs the few-ulp rounding of the shifted
-#: coordinates, band floors, sort keys and window bounds, so every pair
-#: the edge predicate accepts is a candidate; it only adds candidates,
-#: never edges.
+#: coordinate and sort-key magnitudes.  It dwarfs the few-ulp rounding of
+#: the shifted coordinates, band floors, sort keys and window bounds, so
+#: every pair the edge predicate accepts is a candidate; it only adds
+#: candidates, never edges.
 _SLACK = 1e-12
+
+#: Widest cell of a block index's window lookup, relative to the radius.
+_CELL = 0.125
+
+#: Candidate pairs a block query expands at once.  Dense slots (flooding
+#: a rho=140 block) are cut into transmitter runs of about this many
+#: candidates: the transient arrays stay near 4 MB, small enough to stay
+#: in cache between passes (a 32-field flooding block's queries ran
+#: ~12 % faster than at 4x the size).
+_CHUNK = 1 << 16
 
 
 def _as_positions(positions: np.ndarray) -> np.ndarray:
@@ -196,86 +201,39 @@ def build_disk_graph_csr(
     return indptr, cols.astype(np.int64)
 
 
-def build_disk_graph_csr_stacked(
-    positions: np.ndarray, node_offsets: np.ndarray, radius: float
+def gather_neighbors(
+    tx: np.ndarray, indptr: np.ndarray, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR adjacency of ``R`` stacked unit-disk graphs.
+    """Flat ``(receivers, senders)`` pairs of all transmitters' CSR slices.
 
-    Parameters
-    ----------
-    positions:
-        ``(N, 2)`` coordinates of all replications concatenated;
-        replication ``r`` owns rows ``[node_offsets[r], node_offsets[r+1])``.
-    node_offsets:
-        ``(R + 1,)`` cumulative node counts (``node_offsets[0] == 0``,
-        ``node_offsets[-1] == N``).
-    radius:
-        Transmission radius, shared by every replication.
+    One fancy index gathers every transmitter's neighbor slice;
+    ``receivers[k]`` hears ``senders[k]``.
 
-    Returns
-    -------
-    (indptr, indices):
-        One CSR structure over the *global* ids.  Within each
-        replication's block it is bit-identical to what
-        :func:`build_disk_graph_csr` produces for that replication alone
-        (same edges, neighbor lists sorted ascending); there are never
-        edges between replications.  ``indices`` is int32 while the
-        global ids fit.
-
-    Raises
-    ------
-    ValueError
-        On non-finite positions, or ``node_offsets`` that are empty, do
-        not run from 0 to ``N`` or decrease.
-
-    Notes
-    -----
-    Each replication goes through the band sweep of
-    :func:`build_disk_graph_csr` and the per-replication CSR blocks are
-    spliced together with the global id offsets applied.  Working one
-    replication at a time is deliberate: a single replication's
-    candidate/edge arrays fit in cache, whereas one flat pass over all
-    ``R`` replications pushes every gather and the final edge sort out
-    to main memory and ends up slower than the per-run builder.
+    The flat positions are built as a cumsum of unit steps with a jump
+    to the next slice start at each boundary (cheaper than
+    ``repeat`` + ``arange``); back-to-back slices (e.g. flooding where
+    every node transmits) collapse to a single contiguous view.
     """
-    positions = _as_positions(positions)
-    radius = check_positive("radius", radius)
-    node_offsets = np.asarray(node_offsets, dtype=np.int64)
-    n = positions.shape[0]
-    if (
-        node_offsets.ndim != 1
-        or node_offsets.size == 0
-        or node_offsets[0] != 0
-        or node_offsets[-1] != n
-    ):
-        raise ValueError("node_offsets must run from 0 to len(positions)")
-    if np.any(np.diff(node_offsets) < 0):
-        raise ValueError("node_offsets must be non-decreasing")
-    if n == 0:
-        return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    blocks: list[tuple[int, int, np.ndarray]] = []
-    n_edges = 0
-    for r in range(len(node_offsets) - 1):
-        lo = int(node_offsets[r])
-        hi = int(node_offsets[r + 1])
-        if hi == lo:
-            continue
-        rep_indptr, rep_cols = _build_field_csr(positions[lo:hi], radius)
-        indptr[lo + 1 : hi + 1] = n_edges + rep_indptr[1:]
-        blocks.append((lo, n_edges, rep_cols))
-        n_edges += int(rep_indptr[-1])
-    # Write each block's globalized columns straight into the final
-    # array — a concatenate-then-offset assembly would touch the whole
-    # edge set twice.  int32 columns when the global id space fits:
-    # every downstream slot resolution gathers these by the million,
-    # and the narrower dtype halves that traffic.
-    col_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    indices = np.empty(n_edges, dtype=col_dtype)
-    for lo, e0, rep_cols in blocks:
-        np.add(rep_cols, lo, dtype=col_dtype, out=indices[e0 : e0 + len(rep_cols)])
-    return indptr, indices
+    starts = indptr[tx]
+    ends = indptr[tx + 1]
+    lengths = ends - starts
+    total = int(lengths.sum())
+    if total == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy()
+    nz = lengths > 0
+    s_nz = starts[nz]
+    e_nz = ends[nz]
+    if np.array_equal(s_nz[1:], e_nz[:-1]):
+        receivers = indices[s_nz[0] : e_nz[-1]]
+    else:
+        bounds = np.cumsum(lengths[nz])
+        steps = np.ones(total, dtype=np.int64)
+        steps[0] = s_nz[0]
+        steps[bounds[:-1]] = s_nz[1:] - e_nz[:-1] + 1
+        receivers = indices[np.cumsum(steps)]
+    senders = np.repeat(tx, lengths)
+    return receivers, senders
 
 
 class Topology:
@@ -355,6 +313,17 @@ class Topology:
             self._carrier_csr = build_disk_graph_csr(self.positions, self.carrier_radius)
         return self._carrier_csr
 
+    def neighbor_pairs(
+        self, tx: np.ndarray, *, carrier: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(receivers, senders)``: every neighbor of each node in ``tx``.
+
+        By CSR gather (:func:`gather_neighbors`); ``carrier`` gathers
+        from the carrier-radius graph instead.
+        """
+        indptr, indices = self.carrier_csr() if carrier else (self.indptr, self.indices)
+        return gather_neighbors(tx, indptr, indices)
+
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
         """Whether the transmission graph is a single connected component."""
@@ -403,60 +372,57 @@ class Topology:
         )
 
 
-class _StackedRepView(Topology):
-    """One replication of a :class:`StackedTopology` as a `Topology`.
+class BlockIndex:
+    """A block of deployments as one band index, queried per slot.
 
-    The local ``indptr`` is a cheap re-based slice of the stacked one;
-    the local ``indices`` (the full edge list shifted back to local
-    ids) is only materialized if something actually reads it — most
-    policies never do, and the batched engine resolves slots on the
-    stacked structure directly.
+    The vectorized engine advances ``R`` replications together and
+    resolves each slot from the ``(receiver, sender)`` pairs of that
+    slot's transmitters.  This index answers that with one vectorized
+    query and never builds an edge list: the points keep the band
+    sweep's sort, and every transmitter's partners in each band within
+    reach lie in one window of it.  Graph work per slot therefore grows
+    with the slot's transmissions, not with the block's edges.
 
-    The view holds the stacked edge slice, not the stacked topology:
-    a back reference would make each block a reference cycle whose CSR
-    arrays outlive the block until the cyclic garbage collector runs.
-    """
-
-    def __init__(self, stacked: "StackedTopology", rep: int) -> None:
-        lo = int(stacked.node_offsets[rep])
-        hi = int(stacked.node_offsets[rep + 1])
-        self.positions = stacked.positions[lo:hi]
-        self.radius = stacked.radius
-        self._carrier_radius = stacked._carrier_radius
-        self._carrier_csr = None
-        e0 = int(stacked.indptr[lo])
-        self.indptr = stacked.indptr[lo : hi + 1] - e0
-        self._edges = stacked.indices[e0 : int(stacked.indptr[hi])]
-        self._lo = lo
-        self._indices_local: np.ndarray | None = None
-
-    @property
-    def indices(self) -> np.ndarray:
-        if self._indices_local is None:
-            self._indices_local = self._edges - self._lo
-        return self._indices_local
-
-
-class StackedTopology:
-    """``R`` independent deployments as one CSR structure.
-
-    Node ids are globally renumbered: replication ``r`` owns the
-    contiguous block ``[node_offsets[r], node_offsets[r+1])``, so flat
-    boolean state arrays and a single bincount-based channel resolution
-    serve every replication at once, and per-replication quantities fall
-    out of ``searchsorted`` against the offsets.
+    Node ids are global: replication ``r`` owns the contiguous block
+    ``[node_offsets[r], node_offsets[r+1])``, so flat boolean state and
+    one bincount per slot serve every replication at once.  Each
+    replication's bands are numbered past the previous one's, with
+    enough empty bands between them that no window reaches another
+    field; pairs never cross replications.
 
     Parameters
     ----------
     positions:
-        ``(N, 2)`` concatenated coordinates of all replications.
+        ``(N, 2)`` coordinates of all replications concatenated.
     node_offsets:
-        ``(R + 1,)`` cumulative node counts.
+        ``(R + 1,)`` cumulative node counts, from 0 to ``N``; a
+        replication may be empty.
     radius:
         Transmission radius ``r`` (shared — one scenario, many draws).
     carrier_radius:
-        Carrier-sense radius; defaults to ``2 * radius`` when the
-        carrier CSR is first requested.
+        Carrier-sense radius; defaults to ``2 * radius``.
+
+    Attributes
+    ----------
+    pairs:
+        Neighbor pairs the queries have returned so far.
+
+    Raises
+    ------
+    ValueError
+        On non-finite positions, ``carrier_radius < radius``, or
+        ``node_offsets`` that are empty, do not run from 0 to ``N`` or
+        decrease.
+
+    Notes
+    -----
+    Sort keys are ``band * width + x`` as in :func:`build_disk_graph_csr`,
+    in units of *cells*: each band's ``width`` is cut into a power of two
+    of cells at most ``radius / 8`` wide (coarser where that would make
+    more than ~16 cells per point), and a table of each cell's first
+    sorted position turns a window's float bounds into positions with
+    two gathers instead of two binary searches.  A window is thus widened
+    to whole cells (a few extra candidates, which the predicate drops).
     """
 
     def __init__(
@@ -467,24 +433,85 @@ class StackedTopology:
         *,
         carrier_radius: float | None = None,
     ):
-        self.positions = np.asarray(positions, dtype=float)
+        self.positions = _as_positions(positions)
         self.node_offsets = np.asarray(node_offsets, dtype=np.int64)
         self.radius = check_positive("radius", radius)
         if carrier_radius is not None and carrier_radius < radius:
             raise ValueError("carrier_radius must be >= radius")
         self._carrier_radius = carrier_radius
-        self.indptr, self.indices = build_disk_graph_csr_stacked(
-            self.positions, self.node_offsets, radius
+        n = self.n_nodes
+        offsets = self.node_offsets
+        if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != n:
+            raise ValueError("node_offsets must run from 0 to len(positions)")
+        counts = np.diff(offsets)
+        if np.any(counts < 0):
+            raise ValueError("node_offsets must be non-decreasing")
+        self.pairs = 0
+        self._windows: dict[bool, tuple[float, np.ndarray, np.ndarray, np.ndarray]] = {}
+        if n == 0:
+            return
+
+        # Each replication is swept from its own lower-left corner.
+        full = counts > 0
+        lo = np.minimum.reduceat(self.positions, offsets[:-1][full], axis=0)
+        hi = np.maximum.reduceat(self.positions, offsets[:-1][full], axis=0)
+        extent = hi - lo
+        far = self.carrier_radius
+        # A power of two, so band * width is exact, and wider than an
+        # x-extent plus two of the widest query's reaches, so no window
+        # aimed at one band reaches the next.
+        width = 2.0 ** math.ceil(math.log2(2.0 * float(extent[:, 0].max()) + 4.0 * far))
+        # The slack must cover rounding at the keys' magnitude, which
+        # grows with the block.  Bands of height radius/2 bound it: the
+        # final bands are no lower, so there are no more of them.
+        h_min = _BAND * radius
+        gap_max = math.ceil(far / h_min)
+        n_bands_max = float(np.floor(extent[:, 1] / h_min).sum()) + (len(extent) + 1) * (
+            gap_max + 2
         )
-        self._carrier_csr: tuple[np.ndarray, np.ndarray] | None = None
-        self._rep_views: list[Topology | None] = [None] * self.n_reps
+        coord = float(max(np.abs(lo).max(), np.abs(hi).max()))
+        self._slack = _SLACK * (far + coord + n_bands_max * width)
+        self._band = h = _BAND * (radius + self._slack)
+        # A query reaches ceil(reach / h) bands up or down; that many
+        # empty bands between fields keep every window inside its own,
+        # and as many below the first keep every window bound positive.
+        gap = math.ceil((far + self._slack) / h)
+        n_bands = np.floor(extent[:, 1] / h) + (1 + gap)
+        first_band = np.cumsum(n_bands) - n_bands + (1 + gap)
+        n_bands_total = int(first_band[-1] + n_bands[-1] + 1)
+        # Cells at most radius * _CELL wide, but no more than ~16 per
+        # point, so a large sparse field keeps a small table.  At least
+        # two per band: points fill less than the left half of a band,
+        # so a window widened to whole cells ends in the empty half of
+        # a neighboring band and never reaches another field.
+        fine = math.ceil(math.log2(width / (_CELL * radius)))
+        sparse = math.floor(math.log2(max(16.0 * n / n_bands_total, 2.0)))
+        self._cells = cells = 2 ** min(fine, sparse)
+        self._scale = scale = cells / width
+        rep = np.repeat(np.arange(len(extent)), counts[full])
+        xs = self.positions[:, 0] - lo[rep, 0]
+        ys = self.positions[:, 1] - lo[rep, 1]
+        band = np.floor(ys / h)
+        keys = (band + first_band[rep]) * width + xs
+        order = np.argsort(keys)
+        self._order = order
+        self._rank = np.empty(n, dtype=np.intp)
+        self._rank[order] = np.arange(n)
+        self._keys = keys[order] * scale
+        self._x = self.positions[order, 0]
+        self._y = self.positions[order, 1]
+        # Each point's height above its band's floor, in cells.
+        ys -= band * h
+        self._rise = ys[order] * scale
+        # cell_start[c] is the first sorted position in cell c or later.
+        n_cells = n_bands_total * cells
+        self._cell_start = np.zeros(n_cells + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(self._keys.astype(np.intp), minlength=n_cells),
+            out=self._cell_start[1:],
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def n_reps(self) -> int:
-        """Number of stacked replications ``R``."""
-        return len(self.node_offsets) - 1
-
     @property
     def n_nodes(self) -> int:
         """Total node count across all replications."""
@@ -499,33 +526,125 @@ class StackedTopology:
             else 2.0 * self.radius
         )
 
-    def carrier_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked CSR at carrier-sense radius (built lazily, cached)."""
-        if self._carrier_csr is None:
-            self._carrier_csr = build_disk_graph_csr_stacked(
-                self.positions, self.node_offsets, self.carrier_radius
+    def _window_table(
+        self, carrier: bool
+    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-band-offset window terms of one query radius, in cells.
+
+        For band offsets ``d = -k..k`` (``k`` bands reach the radius):
+        the vertical gap to band ``b + d`` is ``base[d] + sign[d] *
+        rise`` less the slack, ``rise`` being the point's height above
+        its band's floor, and ``shift[d]`` moves a key into that band.
+        Returns ``(reach**2, base, sign, shift)``; cached per radius.
+        """
+        table = self._windows.get(carrier)
+        if table is None:
+            reach = (self.carrier_radius if carrier else self.radius) + self._slack
+            k = math.ceil(reach / self._band)
+            d = np.arange(-k, k + 1, dtype=float)
+            base = np.where(d > 0, d, np.maximum(-d - 1.0, 0.0)) * self._band - self._slack
+            table = (
+                (reach * self._scale) ** 2,
+                base * self._scale,
+                -np.sign(d),
+                d * self._cells,
             )
-        return self._carrier_csr
+            self._windows[carrier] = table
+        return table
 
-    def rep_slice(self, rep: int) -> tuple[np.ndarray, np.ndarray]:
-        """Replication ``rep``'s CSR adjacency in *local* node ids."""
-        lo = int(self.node_offsets[rep])
-        hi = int(self.node_offsets[rep + 1])
-        e0 = int(self.indptr[lo])
-        indptr_local = self.indptr[lo : hi + 1] - e0
-        indices_local = self.indices[e0 : int(self.indptr[hi])] - lo
-        return indptr_local, indices_local
+    def neighbor_pairs(
+        self, tx: np.ndarray, *, carrier: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(receivers, senders)``: every neighbor of each node in ``tx``.
 
-    def rep_topology(self, rep: int) -> Topology:
-        """A per-replication :class:`Topology` view (cached, lazy)."""
-        cached = self._rep_views[rep]
-        if cached is None:
-            cached = _StackedRepView(self, rep)
-            self._rep_views[rep] = cached
-        return cached
+        The multiset equals the CSR gather of
+        :func:`build_disk_graph_csr` over each replication (pairs with
+        ``dx*dx + dy*dy <= r*r``, no self-pairs), in global ids; the
+        order differs.  ``carrier`` queries at the carrier radius.
+
+        Transmitters are visited in index order, so the windows sweep
+        the sorted points forward.  Each transmitter contributes one
+        window per band within reach, its own band's split at the
+        transmitter so it never meets itself; the windows expand into
+        flat candidate pairs and the float predicate keeps the
+        neighbors, a bounded run of transmitters at a time.
+        """
+        tx = np.asarray(tx)
+        if tx.size == 0:
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty.copy()
+        reach2, base, sign, shift = self._window_table(carrier)
+        i = np.sort(self._rank[tx])
+        # Window half-widths sqrt(reach^2 - gap^2), one column per band.
+        w = self._rise[i, None] * sign
+        w += base
+        np.maximum(w, 0.0, out=w)
+        w *= w
+        np.subtract(reach2, w, out=w)
+        np.maximum(w, 0.0, out=w)
+        np.sqrt(w, out=w)
+        center = self._keys[i, None] + shift
+        k = len(shift) // 2
+        first = np.empty((len(i), len(shift) + 1), dtype=np.intp)
+        last = np.empty_like(first)
+        # Keys are positive, so truncation is the floor.
+        first[:, :-1] = self._cell_start.take((center - w).astype(np.intp))
+        last[:, :-1] = self._cell_start.take((center + w).astype(np.intp) + 1)
+        # The own band's window, split around the transmitter.
+        last[:, -1] = last[:, k]
+        first[:, -1] = i + 1
+        last[:, k] = i
+        runs = last - first
+        per_tx = runs.sum(axis=1)
+        r2 = (self.carrier_radius if carrier else self.radius) ** 2
+        bounds = np.cumsum(per_tx)
+        if bounds[-1] <= _CHUNK:
+            receivers, senders = self._expand(i, first, runs, per_tx, r2)
+        else:
+            parts = []
+            lo = 0
+            while lo < len(i):
+                done = bounds[lo - 1] if lo else 0
+                hi = max(int(np.searchsorted(bounds, done + _CHUNK, side="right")), lo + 1)
+                parts.append(
+                    self._expand(i[lo:hi], first[lo:hi], runs[lo:hi], per_tx[lo:hi], r2)
+                )
+                lo = hi
+            receivers = np.concatenate([p[0] for p in parts])
+            senders = np.concatenate([p[1] for p in parts])
+        self.pairs += len(receivers)
+        return receivers, senders
+
+    def _expand(
+        self,
+        i: np.ndarray,
+        first: np.ndarray,
+        runs: np.ndarray,
+        per_tx: np.ndarray,
+        r2: float,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbor pairs inside windows ``[first, first + runs)``.
+
+        ``first`` and ``runs`` hold one row per transmitter ``i`` (sorted
+        positions) and one column per window.
+        """
+        runs = runs.ravel()
+        ends = np.cumsum(runs)
+        # b-side sorted positions: the windows concatenated.
+        b = np.arange(ends[-1])
+        b += np.repeat(first.ravel() - (ends - runs), runs)
+        d2 = np.repeat(self._x.take(i), per_tx)
+        d2 -= self._x.take(b)
+        dy = np.repeat(self._y.take(i), per_tx)
+        dy -= self._y.take(b)
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        hit = np.flatnonzero(d2 <= r2)
+        del d2, dy
+        order = self._order
+        return order.take(b.take(hit)), np.repeat(order.take(i), per_tx).take(hit)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StackedTopology(reps={self.n_reps}, n={self.n_nodes}, "
-            f"r={self.radius})"
-        )
+        reps = len(self.node_offsets) - 1
+        return f"BlockIndex(reps={reps}, n={self.n_nodes}, r={self.radius})"

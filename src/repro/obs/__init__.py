@@ -19,13 +19,15 @@ report:
 * :mod:`repro.obs.export` — span persistence: JSONL and Chrome
   trace-event JSON (``chrome://tracing``/Perfetto).
 * :mod:`repro.obs.report` — the ``repro-report`` CLI fusing manifest,
-  span trace, event trace, and perf ledger into one run report.
+  span trace, event trace, and perf ledger into one run report.  It is
+  imported on demand (``from repro.obs import report``), so ``python -m
+  repro.obs.report`` runs the module once.
 
 A region's counters are :func:`capture_spans` plus a sum over
 ``buf.named(name)``.
 """
 
-from repro.obs import export, progress, provenance, report, spans, trace
+from repro.obs import export, progress, provenance, spans, trace
 from repro.obs.events import (
     ChannelDelivery,
     NodeInformed,
@@ -50,7 +52,6 @@ __all__ = [
     "progress",
     "spans",
     "export",
-    "report",
     "SpanBuffer",
     "capture_spans",
     "profiler",

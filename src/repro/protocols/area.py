@@ -64,5 +64,5 @@ class DistanceBasedRelay(RelayPolicy):
         slots = self.random_slots(n, rng, ctx)
         return will, slots
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"DistanceBasedRelay(threshold={self.threshold}, p={self.p})"

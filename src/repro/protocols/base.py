@@ -15,7 +15,9 @@ so simulations stay reproducible under a seed.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -24,28 +26,37 @@ from repro.network.topology import Topology
 __all__ = ["EngineContext", "RelayPolicy"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EngineContext:
     """Read-only simulation state policies may consult.
 
     Attributes
     ----------
-    topology:
-        The deployment graph (positions, CSR adjacency).
+    positions:
+        Node coordinates, ``(n, 2)``.
     slots_per_phase:
         The paper's ``s``.
     radius:
         Transmission radius ``r``.
+    build_topology:
+        Returns the deployment graph; called once, on the first read of
+        :attr:`topology`.
     """
 
-    topology: Topology
+    positions: np.ndarray
     slots_per_phase: int
     radius: float
+    build_topology: Callable[[], Topology] = field(repr=False)
 
-    @property
-    def positions(self) -> np.ndarray:
-        """Node coordinates, ``(n, 2)``."""
-        return self.topology.positions
+    @cached_property
+    def topology(self) -> Topology:
+        """The deployment graph (CSR adjacency), built on first access.
+
+        The vectorized engine resolves slots without a CSR, so only the
+        policies that read this attribute (neighbor knowledge) pay for
+        one.
+        """
+        return self.build_topology()
 
 
 class RelayPolicy(ABC):
@@ -111,5 +122,5 @@ class RelayPolicy(ABC):
         """Uniform slot choices for ``n`` nodes (the paper's jitter)."""
         return rng.integers(0, ctx.slots_per_phase, size=n)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"{type(self).__name__}()"

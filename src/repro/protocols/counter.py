@@ -47,5 +47,5 @@ class CounterBasedRelay(ProbabilisticRelay):
     ) -> np.ndarray:
         return np.asarray(duplicate_receptions) < self.threshold
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"CounterBasedRelay(threshold={self.threshold}, p={self.p})"

@@ -96,5 +96,5 @@ class NeighborKnowledgeRelay(RelayPolicy):
             keep[i] = self._uncovered_remains(node, senders, topo)
         return keep
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"NeighborKnowledgeRelay(p={self.p})"

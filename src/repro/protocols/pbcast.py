@@ -36,7 +36,7 @@ class ProbabilisticRelay(RelayPolicy):
         slots = self.random_slots(n, rng, ctx)
         return will, slots
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"ProbabilisticRelay(p={self.p})"
 
 
@@ -48,5 +48,5 @@ class SimpleFlooding(ProbabilisticRelay):
     def __init__(self) -> None:
         super().__init__(1.0)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return "SimpleFlooding()"

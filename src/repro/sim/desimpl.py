@@ -110,10 +110,12 @@ class DesBroadcastSimulation:
                 "the DES engine models CAM's physical contention; use the "
                 "vectorized engine for CFM runs"
             )
+        topology = self.topology
         self.ctx = EngineContext(
-            topology=self.topology,
+            positions=topology.positions,
             slots_per_phase=config.slots,
             radius=config.radius,
+            build_topology=lambda: topology,
         )
         self.sim = Simulator()
         n = self.topology.n_nodes

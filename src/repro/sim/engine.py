@@ -1,11 +1,12 @@
 """The vectorized slot-synchronous broadcast engine.
 
 State lives in flat numpy arrays (informed mask, duplicate counters,
-energy ledger) over a stacked CSR id space; each slot is resolved by
-one channel call.  This engine implements exactly the semantics the
-analytical framework assumes — aligned phases of ``s`` slots, relays
-scheduled for the phase after first reception — and is the workhorse
-behind the Monte-Carlo reproductions of Figs. 8–11.
+energy ledger) over one global id space; each slot is resolved by one
+channel call over the block's band index.  This engine implements
+exactly the semantics the analytical framework assumes — aligned phases
+of ``s`` slots, relays scheduled for the phase after first reception —
+and is the workhorse behind the Monte-Carlo reproductions of
+Figs. 8–11.
 
 There is one slot loop, :func:`run_broadcast_batch`, which advances a
 block of replications together; :func:`run_broadcast` is a block of one.
@@ -13,9 +14,10 @@ block of replications together; :func:`run_broadcast` is a block of one.
 
 from __future__ import annotations
 
-import numpy as np
-
+from functools import partial
 from typing import Sequence
+
+import numpy as np
 
 from repro.analysis.trace import BroadcastTrace
 from repro.errors import ProtocolError
@@ -33,7 +35,7 @@ from repro.models.cam import CollisionAwareChannel
 from repro.models.cfm import CollisionFreeChannel
 from repro.models.costs import EnergyLedger
 from repro.network.deployment import DeploymentBatch, DiskDeployment
-from repro.network.topology import StackedTopology
+from repro.network.topology import BlockIndex
 from repro.protocols.base import EngineContext, RelayPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.results import RunResult
@@ -43,7 +45,7 @@ __all__ = ["run_broadcast", "run_broadcast_batch"]
 
 
 def _build_channel(
-    config: SimulationConfig, topology: StackedTopology
+    config: SimulationConfig, topology: BlockIndex
 ) -> CollisionAwareChannel | CollisionFreeChannel:
     if config.channel == "cfm":
         return CollisionFreeChannel(topology)
@@ -95,13 +97,15 @@ def run_broadcast_batch(
     """Simulate a whole block of replications as one stacked update.
 
     The ``R = len(seeds)`` replications advance in lockstep: their
-    deployments are concatenated into one stacked CSR adjacency with
-    disjoint global node-id blocks
-    (:class:`~repro.network.topology.StackedTopology`), global state
-    arrays (informed mask, duplicate counters, energy ledger) span all
-    replications, and each slot is resolved by a *single* channel call —
-    one offset-bincount over the stacked sender lists serves every
-    replication at once.
+    deployments are concatenated into one band index with disjoint
+    global node-id blocks (:class:`~repro.network.topology.BlockIndex`),
+    global state arrays (informed mask, duplicate counters, energy
+    ledger) span all replications, and each slot is resolved by a
+    *single* channel call — one query for the slot's neighbor pairs and
+    one bincount over them serve every replication at once.  No CSR
+    adjacency is built; a policy that reads ``ctx.topology`` gets its
+    replication's :class:`~repro.network.topology.Topology`, built on
+    first access.
 
     Bit-identity contract: replication ``r`` consumes random values from
     its own generator, seeded from ``seeds[r]``, in exactly the order a
@@ -110,8 +114,8 @@ def run_broadcast_batch(
     node ids, topology view, and positions.  ``run_broadcast_batch(policy,
     config, seeds)[r]`` therefore equals
     ``run_broadcast(policy, config, seeds[r])`` bit for bit; only
-    RNG-free work (topology construction, channel resolution) is shared
-    across the block.
+    RNG-free work (the band index, channel resolution) is shared across
+    the block.
 
     Telemetry: with a tracer attached, each replication's slot events
     (``ChannelDelivery``, ``SlotResolved``, ``NodeInformed``,
@@ -119,8 +123,10 @@ def run_broadcast_batch(
     buffer that is flushed in replication order when the block ends, so
     a traced block of ``R`` emits exactly the concatenation of ``R``
     blocks of one.  With a span sink attached, each block reports one
-    ``engine.run_batch`` span (``reps``) around one
-    ``engine.slot_loop`` span (``phases``, ``slots``, ``collisions``).
+    ``engine.run_batch`` span (``reps``) around a
+    ``topology.build`` span (``nodes``) for the index and one
+    ``engine.slot_loop`` span (``phases``, ``slots``, ``collisions``,
+    ``pairs``: the neighbor pairs its queries resolved).
 
     Parameters
     ----------
@@ -168,15 +174,14 @@ def run_broadcast_batch(
         )
     else:
         batch = DeploymentBatch(list(deployments))
-    # The channel is built inside the span: with carrier sense on it
-    # forces the carrier-radius graph, the second unit-disk build.
+    carrier_radius = config.analysis.carrier_radius if config.carrier_sense else None
     h_topo = begin("topology.build", "network") if begin is not None else None
-    stacked = batch.stacked_topology(
-        carrier_radius=config.analysis.carrier_radius if config.carrier_sense else None
+    index = BlockIndex(
+        batch.positions, batch.node_offsets, batch.radius, carrier_radius=carrier_radius
     )
-    channel = _build_channel(config, stacked)
     if h_topo is not None:
-        h_topo.end(nodes=stacked.n_nodes, edges=int(stacked.indptr[-1]) // 2)
+        h_topo.end(nodes=index.n_nodes)
+    channel = _build_channel(config, index)
     if h_deploy is not None:
         h_deploy.end(reps=n_reps, nodes=batch.n_nodes_total)
     offs = batch.node_offsets
@@ -191,11 +196,12 @@ def run_broadcast_batch(
     n_rings = [max(config.n_rings, int(ri.max())) for ri in ring_idx]
     ctxs = [
         EngineContext(
-            topology=stacked.rep_topology(r),
+            positions=dep.positions,
             slots_per_phase=slots,
             radius=config.radius,
+            build_topology=partial(dep.topology, carrier_radius=carrier_radius),
         )
-        for r in range(n_reps)
+        for dep in batch.deployments
     ]
 
     n_total = batch.n_nodes_total
@@ -407,6 +413,7 @@ def run_broadcast_batch(
             phases=phase,
             slots=sum(len(s) for s in new_by_slot),
             collisions=sum(collisions),
+            pairs=index.pairs,
         )
 
     results: list[RunResult] = []

@@ -13,7 +13,8 @@ Sec. 3.2.2, assumption 6):
 
 The vectorized kernel and both channels are checked against these
 predicates exhaustively on small labelled graphs, and with hypothesis
-on random geometric fields, alone and stacked as several replications.
+on random geometric fields, alone and as several replications of one
+block index.
 The exhaustive checks resolve all transmitter subsets of one graph in
 a single call, one disjoint copy of the graph per subset.
 """
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.models.cam import CollisionAwareChannel, counts_and_senders
 from repro.models.cfm import CollisionFreeChannel
-from repro.network.topology import StackedTopology, Topology
+from repro.network.topology import BlockIndex, Topology, gather_neighbors
 
 RADIUS = 1.0
 CARRIER_RADIUS = 2.0
@@ -79,9 +80,13 @@ class CsrGraph:
         self.n_nodes = len(near) * copies
         self._carrier = None if far is None else _csr(far, copies)
 
-    def carrier_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        assert self._carrier is not None
-        return self._carrier
+    def neighbor_pairs(
+        self, tx: np.ndarray, *, carrier: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if carrier:
+            assert self._carrier is not None
+            return gather_neighbors(tx, *self._carrier)
+        return gather_neighbors(tx, self.indptr, self.indices)
 
 
 def _csr(near: list[set[int]], copies: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +147,7 @@ def test_kernel_and_channels_on_every_graph_up_to_five_nodes():
         copies = len(subsets)
         graph = CsrGraph(near, copies)
 
-        counts, id_sum = counts_and_senders(tx, graph.indptr, graph.indices, graph.n_nodes)
+        counts, id_sum = counts_and_senders(*graph.neighbor_pairs(tx), graph.n_nodes)
         clean = np.flatnonzero(counts == 1)
         kernel = split(clean, id_sum[clean], np.flatnonzero(counts >= 2), n, copies)
         d_cam = CollisionAwareChannel(graph).resolve_slot(tx)
@@ -244,14 +249,14 @@ def test_channels_on_random_fields(field):
 @settings(max_examples=30, deadline=None)
 def test_channels_on_stacked_random_fields(reps):
     offsets = np.cumsum([0] + [len(p) for p, _ in reps])
-    stacked = StackedTopology(
+    index = BlockIndex(
         np.vstack([p for p, _ in reps]),
         offsets,
         RADIUS,
         carrier_radius=CARRIER_RADIUS,
     )
     tx = np.concatenate([np.flatnonzero(m) + lo for (_, m), lo in zip(reps, offsets)])
-    for variant, d in resolve_all(stacked, tx).items():
+    for variant, d in resolve_all(index, tx).items():
         for r, (positions, mask) in enumerate(reps):
             lo, hi = int(offsets[r]), int(offsets[r + 1])
             keep = (d.receivers >= lo) & (d.receivers < hi)

@@ -1,13 +1,14 @@
-"""Stacked deployments and adjacency for the replication-batched engine.
+"""Stacked deployments and the block index of the batched engine.
 
 Pins the layout contracts: a :class:`DeploymentBatch` draw is
 bit-identical to ``R`` independent per-run draws, the padded ``(R,
 n_max, 2)`` view is zero-padding over the flat layout, and every
-replication's slice of the stacked CSR equals the CSR a standalone
-:class:`Topology` would build for it.  Since both entry points share one
-builder, the stacked CSR is also checked against an all-pairs brute
-force with the builder's own predicate, on random ragged stacks and on
-the geometries that sit on the band sweep's edges.
+replication's neighbor pairs from the :class:`BlockIndex` equal the CSR
+a standalone :class:`Topology` builds for it.  The index's pairs are
+also checked against an all-pairs brute force with the builder's own
+predicate, on random ragged stacks, on random transmitter subsets of
+hundreds of replications, and on the geometries that sit on the band
+sweep's edges.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.deployment import DeploymentBatch, DiskDeployment
-from repro.network.topology import (
-    StackedTopology,
-    Topology,
-    build_disk_graph_csr,
-    build_disk_graph_csr_stacked,
-)
+from repro.network.topology import BlockIndex, Topology, build_disk_graph_csr
 
 SEED = 20050113
 
@@ -41,8 +37,20 @@ def _brute_force_csr(positions, radius):
     return indptr, cols
 
 
+def _pairs_csr(index, *, carrier=False):
+    """Every node's pairs from the index as a global CSR keyed by
+    sender, each row's receivers ascending."""
+    n = index.n_nodes
+    receivers, senders = index.neighbor_pairs(np.arange(n), carrier=carrier)
+    order = np.lexsort((receivers, senders))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(senders, minlength=n), out=indptr[1:])
+    return indptr, receivers[order]
+
+
 def _assert_stacked_matches_brute_force(positions, node_offsets, radius):
-    indptr, indices = build_disk_graph_csr_stacked(positions, node_offsets, radius)
+    index = BlockIndex(positions, node_offsets, radius)
+    indptr, indices = _pairs_csr(index)
     assert len(indptr) == node_offsets[-1] + 1
     assert indptr[0] == 0 and indptr[-1] == len(indices)
     for lo, hi in zip(node_offsets[:-1], node_offsets[1:], strict=True):
@@ -134,87 +142,100 @@ class TestDeploymentBatch:
             DeploymentBatch([a, b])
 
 
+def _rep_csr(indptr, indices, lo, hi):
+    """Replication ``[lo, hi)``'s rows of a global CSR, in local ids."""
+    e0 = int(indptr[lo])
+    return indptr[lo : hi + 1] - e0, indices[e0 : int(indptr[hi])] - lo
+
+
 class TestStackedTopology:
+    """A block index's pairs, replication by replication."""
+
     def test_rep_slices_match_standalone_csr(self):
         batch = _batch()
-        stacked = batch.stacked_topology()
+        indptr, indices = _pairs_csr(
+            BlockIndex(batch.positions, batch.node_offsets, batch.radius)
+        )
+        offsets = batch.node_offsets
         for r, dep in enumerate(batch.deployments):
-            indptr, indices = stacked.rep_slice(r)
+            local = _rep_csr(indptr, indices, offsets[r], offsets[r + 1])
             ref_indptr, ref_indices = build_disk_graph_csr(
                 dep.positions, batch.radius
             )
-            assert np.array_equal(indptr, ref_indptr)
-            assert np.array_equal(indices, ref_indices)
+            assert np.array_equal(local[0], ref_indptr)
+            assert np.array_equal(local[1], ref_indices)
 
     def test_rep_slices_match_standalone_csr_ragged(self):
         batch = _batch(population="poisson")
-        stacked = batch.stacked_topology()
+        indptr, indices = _pairs_csr(
+            BlockIndex(batch.positions, batch.node_offsets, batch.radius)
+        )
+        offsets = batch.node_offsets
         for r, dep in enumerate(batch.deployments):
-            indptr, indices = stacked.rep_slice(r)
+            local = _rep_csr(indptr, indices, offsets[r], offsets[r + 1])
             ref_indptr, ref_indices = build_disk_graph_csr(
                 dep.positions, batch.radius
             )
-            assert np.array_equal(indptr, ref_indptr)
-            assert np.array_equal(indices, ref_indices)
+            assert np.array_equal(local[0], ref_indptr)
+            assert np.array_equal(local[1], ref_indices)
 
     def test_no_cross_replication_edges(self):
-        """Global ids stay inside their owner's block — stacking never
+        """Pairs stay inside their owner's block — the block index never
         lets two replications see each other."""
         batch = _batch()
-        stacked = batch.stacked_topology()
-        for r in range(stacked.n_reps):
-            lo = int(batch.node_offsets[r])
-            hi = int(batch.node_offsets[r + 1])
-            block = stacked.indices[stacked.indptr[lo] : stacked.indptr[hi]]
-            assert np.all((block >= lo) & (block < hi))
+        index = BlockIndex(batch.positions, batch.node_offsets, batch.radius)
+        for carrier in (False, True):
+            receivers, senders = index.neighbor_pairs(
+                np.arange(index.n_nodes), carrier=carrier
+            )
+            rep_of = np.searchsorted(batch.node_offsets, np.arange(index.n_nodes), "right")
+            assert np.array_equal(rep_of[receivers], rep_of[senders])
 
     def test_carrier_csr_matches_standalone(self):
         batch = _batch()
-        stacked = batch.stacked_topology()
-        c_indptr, c_indices = stacked.carrier_csr()
+        index = BlockIndex(batch.positions, batch.node_offsets, batch.radius)
+        c_indptr, c_indices = _pairs_csr(index, carrier=True)
+        offsets = batch.node_offsets
         for r, dep in enumerate(batch.deployments):
-            lo = int(batch.node_offsets[r])
-            hi = int(batch.node_offsets[r + 1])
-            e0 = int(c_indptr[lo])
+            local = _rep_csr(c_indptr, c_indices, offsets[r], offsets[r + 1])
             ref_indptr, ref_indices = build_disk_graph_csr(
-                dep.positions, stacked.carrier_radius
+                dep.positions, index.carrier_radius
             )
-            assert np.array_equal(c_indptr[lo : hi + 1] - e0, ref_indptr)
-            assert np.array_equal(
-                c_indices[e0 : int(c_indptr[hi])] - lo, ref_indices
-            )
+            assert np.array_equal(local[0], ref_indptr)
+            assert np.array_equal(local[1], ref_indices)
 
     def test_rep_topology_views(self):
+        """One transmitter's pairs are its standalone topology's row."""
         batch = _batch()
-        stacked = batch.stacked_topology()
+        index = BlockIndex(batch.positions, batch.node_offsets, batch.radius)
         for r, dep in enumerate(batch.deployments):
-            view = stacked.rep_topology(r)
+            lo = int(batch.node_offsets[r])
             ref = Topology(dep.positions, batch.radius)
-            assert view.n_nodes == ref.n_nodes
-            assert np.array_equal(view.indptr, ref.indptr)
-            assert np.array_equal(view.indices, ref.indices)
-            for node in range(0, view.n_nodes, 7):
-                assert np.array_equal(view.neighbors(node), ref.neighbors(node))
-            # Cached: asking again returns the same object.
-            assert stacked.rep_topology(r) is view
+            for node in range(0, ref.n_nodes, 7):
+                receivers, senders = index.neighbor_pairs(np.array([lo + node]))
+                assert np.all(senders == lo + node)
+                assert np.array_equal(np.sort(receivers) - lo, ref.neighbors(node))
 
     def test_default_carrier_radius(self):
-        stacked = _batch(2).stacked_topology()
-        assert stacked.carrier_radius == 2.0 * stacked.radius
+        batch = _batch(2)
+        index = BlockIndex(batch.positions, batch.node_offsets, batch.radius)
+        assert index.carrier_radius == 2.0 * index.radius
 
     def test_carrier_radius_below_radius_rejected(self):
         batch = _batch(2)
         with pytest.raises(ValueError, match="carrier_radius"):
-            StackedTopology(
+            BlockIndex(
                 batch.positions, batch.node_offsets, batch.radius, carrier_radius=0.5
             )
 
     def test_single_replication(self):
         batch = _batch(1)
-        stacked = batch.stacked_topology()
+        indptr, indices = _pairs_csr(
+            BlockIndex(batch.positions, batch.node_offsets, batch.radius)
+        )
         ref = Topology(batch.deployments[0].positions, batch.radius)
-        assert np.array_equal(stacked.indptr, ref.indptr)
-        assert np.array_equal(stacked.indices, ref.indices)
+        assert np.array_equal(indptr, ref.indptr)
+        assert np.array_equal(indices, ref.indices)
 
 
 class TestStackedBruteForce:
@@ -273,14 +294,79 @@ class TestStackedBruteForce:
         _assert_stacked_matches_brute_force(*_stack(*fields), 1.0)
 
 
+def _brute_force_pairs(positions, node_offsets, tx, radius):
+    """Sorted ``(receiver, sender)`` pairs of ``tx`` by the all-pairs
+    predicate, replication by replication."""
+    out = []
+    for lo, hi in zip(node_offsets[:-1], node_offsets[1:], strict=True):
+        mine = tx[(tx >= lo) & (tx < hi)]
+        if not len(mine):
+            continue
+        pos = positions[lo:hi]
+        dx = pos[None, :, 0] - positions[mine, None, 0]
+        dy = pos[None, :, 1] - positions[mine, None, 1]
+        hit = dx * dx + dy * dy <= radius * radius
+        hit[np.arange(len(mine)), mine - lo] = False
+        s, rcv = np.nonzero(hit)
+        out.extend(zip((rcv + lo).tolist(), mine[s].tolist(), strict=True))
+    return sorted(out)
+
+
+class TestBlockQuery:
+    """Random transmitter subsets of hundreds of replications."""
+
+    @given(
+        counts=st.lists(st.integers(0, 12), min_size=200, max_size=260),
+        seed=st.integers(0, 2**32 - 1),
+        far=st.booleans(),
+        lattice=st.booleans(),
+        radius=st.sampled_from([0.25, 1.0, 1.3]),
+        carrier_factor=st.sampled_from([1.0, 2.0, 2.7]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_equal_brute_force(
+        self, counts, seed, far, lattice, radius, carrier_factor
+    ):
+        rng = np.random.default_rng(seed)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        pos = rng.uniform(-3.0, 3.0, size=(int(offsets[-1]), 2))
+        if lattice:
+            pos = np.round(pos / (radius / 2)) * (radius / 2)
+        if far:
+            pos += np.array([1e6, -2e6])
+        index = BlockIndex(pos, offsets, radius, carrier_radius=carrier_factor * radius)
+        tx = np.flatnonzero(rng.random(len(pos)) < rng.uniform(0.05, 1.0))
+        for carrier, reach in ((False, radius), (True, index.carrier_radius)):
+            receivers, senders = index.neighbor_pairs(tx, carrier=carrier)
+            got = sorted(zip(receivers.tolist(), senders.tolist(), strict=True))
+            assert got == _brute_force_pairs(pos, offsets, tx, reach), carrier
+
+    def test_pairs_counter(self):
+        batch = _batch(3)
+        index = BlockIndex(batch.positions, batch.node_offsets, batch.radius)
+        receivers, _ = index.neighbor_pairs(np.arange(0, index.n_nodes, 3))
+        c_receivers, _ = index.neighbor_pairs(np.arange(5), carrier=True)
+        assert index.pairs == len(receivers) + len(c_receivers) > 0
+
+
 class TestBuilderValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_positions_rejected(self, bad):
         pos = np.zeros((4, 2))
         pos[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            build_disk_graph_csr_stacked(pos, np.array([0, 2, 4]), 1.0)
+            BlockIndex(pos, np.array([0, 2, 4]), 1.0)
 
     def test_empty_node_offsets_rejected(self):
         with pytest.raises(ValueError, match="node_offsets"):
-            build_disk_graph_csr_stacked(np.zeros((0, 2)), np.array([]), 1.0)
+            BlockIndex(np.zeros((0, 2)), np.array([]), 1.0)
+
+    @pytest.mark.parametrize("offsets", [[0, 3, 2, 4], [0, 2], [1, 4]])
+    def test_bad_node_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="node_offsets"):
+            BlockIndex(np.zeros((4, 2)), np.array(offsets), 1.0)
+
+    def test_empty_block(self):
+        index = BlockIndex(np.zeros((0, 2)), np.array([0, 0]), 1.0)
+        receivers, senders = index.neighbor_pairs(np.zeros(0, dtype=np.int64))
+        assert receivers.size == senders.size == index.pairs == 0

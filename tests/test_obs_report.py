@@ -211,6 +211,27 @@ class TestFusedReport:
         assert proc.returncode == 0
         assert "span tree" in proc.stdout
 
+    def test_module_run_imports_report_once(self):
+        """``python -m repro.obs.report`` must not find the module
+        already imported by its package (runpy's RuntimeWarning)."""
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.obs.report",
+                "--help",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
 
 class TestAcceptance:
     """The PR's acceptance criterion: a cold profiled sweep exports a

@@ -256,7 +256,8 @@ class TestInstrumentation:
         assert build.cat == "network"
         assert build.parent_id == deploy.span_id
         assert build.counters["nodes"] == deploy.counters["nodes"]
-        assert build.counters["edges"] > 0
+        assert "edges" not in build.counters  # no edge list is built
+        assert loop_span.counters["pairs"] > 0
 
     def test_batched_topology_build_span(self):
         seeds = [SEED + i for i in range(3)]
@@ -266,14 +267,15 @@ class TestInstrumentation:
         (build,) = buf.named("topology.build")
         assert build.cat == "network"
         assert build.parent_id == deploy.span_id
-        # Counters describe the whole stacked graph: the per-run
-        # topologies' node and link counts summed.
+        # Counters describe the whole block: the per-run node counts
+        # and resolved neighbor pairs summed.
         with spans.capture_spans() as per_run:
             for s in seeds:
                 run_broadcast(ProbabilisticRelay(0.6), CFG, s)
-        singles = per_run.named("topology.build")
-        for key in ("nodes", "edges"):
-            assert build.counters[key] == sum(s.counters[key] for s in singles)
+        for name, key in (("topology.build", "nodes"), ("engine.slot_loop", "pairs")):
+            (block,) = buf.named(name)
+            singles = per_run.named(name)
+            assert block.counters[key] == sum(s.counters[key] for s in singles)
 
     def test_warm_store_lookup_counters(self, tmp_path):
         store = tmp_path / "store"

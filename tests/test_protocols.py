@@ -19,7 +19,12 @@ def ctx():
         [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.3, 0.0], [2.0, 0.0]]
     )
     topo = Topology(pos, radius=1.1)
-    return EngineContext(topology=topo, slots_per_phase=3, radius=1.1)
+    return EngineContext(
+        positions=topo.positions,
+        slots_per_phase=3,
+        radius=1.1,
+        build_topology=lambda: topo,
+    )
 
 
 ALL_POLICIES = [

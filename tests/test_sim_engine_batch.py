@@ -194,6 +194,36 @@ class TestBitIdentity:
             assert int(des.new_informed_by_slot[k:].sum()) == 0
 
 
+class TestLazyTopology:
+    """Slots resolve from the block index; a replication's CSR is built
+    only for a policy that reads ``ctx.topology``."""
+
+    @pytest.mark.parametrize(
+        "policy, builds",
+        [
+            (ProbabilisticRelay(0.5), 0),
+            (SimpleFlooding(), 0),
+            (CounterBasedRelay(threshold=2), 0),
+            (DistanceBasedRelay(0.5), 0),
+            (NeighborKnowledgeRelay(), R),
+        ],
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_csr_built_only_when_read(self, monkeypatch, policy, builds):
+        import repro.network.topology as topology_module
+
+        calls = []
+        real = topology_module.build_disk_graph_csr
+
+        def counting(positions, radius):
+            calls.append(len(positions))
+            return real(positions, radius)
+
+        monkeypatch.setattr(topology_module, "build_disk_graph_csr", counting)
+        run_broadcast_batch(policy, _config(carrier_sense=True), _seeds())
+        assert len(calls) == builds
+
+
 class TestValidation:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="at least one seed"):

@@ -143,6 +143,73 @@ class TestTaskKey:
         assert ka != kb
 
 
+def _policy_classes():
+    """Every concrete :class:`RelayPolicy` defined in ``repro.protocols``."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro.protocols
+    from repro.protocols.base import RelayPolicy
+
+    for info in pkgutil.iter_modules(repro.protocols.__path__):
+        importlib.import_module(f"repro.protocols.{info.name}")
+    found, todo = [], [RelayPolicy]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("repro.protocols.") and not inspect.isabstract(sub):
+                found.append(sub)
+    return sorted(set(found), key=lambda c: c.__name__)
+
+
+def _other_value(value):
+    """A different valid value of a policy parameter's kind."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return 0.25 if value != 0.25 else 0.75
+
+
+class TestPolicyParametersKeyed:
+    """The store key reads ``repr(policy)``; a parameter missing from a
+    policy's repr would let every value share one key."""
+
+    def test_walk_finds_every_policy(self):
+        names = {c.__name__ for c in _policy_classes()}
+        assert {
+            "ProbabilisticRelay",
+            "SimpleFlooding",
+            "CounterBasedRelay",
+            "DistanceBasedRelay",
+            "NeighborKnowledgeRelay",
+        } <= names
+
+    @pytest.mark.parametrize("policy_cls", _policy_classes(), ids=lambda c: c.__name__)
+    def test_every_constructor_argument_changes_the_key(self, policy_cls):
+        import inspect
+
+        params = [
+            p
+            for p in inspect.signature(policy_cls).parameters.values()
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        ]
+        base = {
+            p.name: (0.5 if p.default is inspect.Parameter.empty else p.default)
+            for p in params
+        }
+
+        def key(**kwargs):
+            return task_key(policy_cls(**kwargs), cfg(), 7, "vector", "phase")
+
+        k_base = key(**base)
+        assert key(**base) == k_base
+        for p in params:
+            changed = {**base, p.name: _other_value(base[p.name])}
+            assert key(**changed) != k_base, f"{policy_cls.__name__}.{p.name}"
+
+
 class TestSweepKey:
     def test_order_sensitive(self):
         a = task_key(ProbabilisticRelay(0.3), cfg(), 1, "vector", "phase")
