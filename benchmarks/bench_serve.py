@@ -1,4 +1,4 @@
-"""Serving-tier performance: warm query latency and store sharding.
+"""Serving-tier performance: warm query latency and the memory tier.
 
 The serving claims live in two places.  The end-to-end numbers —
 cold-pass coalescing ratio and warm-pass p50 over the 200-task
@@ -8,8 +8,8 @@ before the perf gate), which merges ``serve.bench.*`` keys that
 coalescing floor.  The micro benchmarks here price the tier's moving
 parts so a regression in either headline number is attributable: a
 single warm query through the full asyncio stack, a memory-tier read,
-and the sharded backend's put/get round trip against the classic
-layout.
+and a warm read through the read-through store.  The bare store's
+put/get round trip is ``bench_perf_store.py``'s.
 """
 
 import asyncio
@@ -21,7 +21,7 @@ from repro.protocols.pbcast import ProbabilisticRelay
 from repro.serve import MemoryTier, QueryService, ReadThroughStore
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import replicate
-from repro.store import DiskStore, ShardedBackend, task_key
+from repro.store import DiskStore, task_key
 
 SEED = 20050113
 QUERY = {
@@ -74,18 +74,4 @@ def test_serve_read_through_warm_get(benchmark, tmp_path, one_run):
     store.put(_key(), one_run)
     store.get(_key())
     got = benchmark(lambda: store.get(_key()))
-    assert len(got) == 1
-
-
-@pytest.mark.parametrize("backend_cls", [DiskStore, ShardedBackend])
-def test_store_backend_put_get(benchmark, tmp_path, one_run, backend_cls):
-    """Sharding must not price the single-writer round trip out."""
-    store = backend_cls(tmp_path / "store")
-    key = _key()
-
-    def round_trip():
-        store.put(key, one_run)
-        return store.get(key)
-
-    got = benchmark(round_trip)
     assert len(got) == 1

@@ -149,16 +149,14 @@ class DeploymentBatch:
     engine (:func:`repro.sim.engine.run_broadcast_batch`): ``R``
     independent :class:`DiskDeployment` draws concatenated into one flat
     ``(N, 2)`` position array with ``node_offsets`` marking each
-    replication's contiguous global-id block, plus a padded/masked
-    ``(R, n_max, 2)`` view for callers that want a rectangular tensor.
+    replication's contiguous global-id block.
 
     Bit-identity contract: :meth:`sample` draws each replication with
     *its own* generator via :meth:`DiskDeployment.sample`, consuming
     exactly the random values a lone draw would — the stacking is
     a storage layout, never a change to the random stream.  Populations
     may differ across replications (``"poisson"``), which is why the
-    flat + offsets layout is primary and the ``(R, n_max)`` view is
-    padding over it.
+    layout is flat + offsets rather than rectangular.
     """
 
     def __init__(self, deployments: tuple[DiskDeployment, ...] | list[DiskDeployment]):
@@ -220,30 +218,6 @@ class DeploymentBatch:
     def n_nodes_total(self) -> int:
         """Total node count across all replications."""
         return int(self.node_offsets[-1])
-
-    @property
-    def source_ids(self) -> np.ndarray:
-        """Global node id of each replication's source (its block start)."""
-        return self.node_offsets[:-1].copy()
-
-    def padded_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(R, n_max, 2)`` positions plus the ``(R, n_max)`` validity mask.
-
-        Replications shorter than ``n_max`` are zero-padded; the mask is
-        ``True`` exactly where a real node exists.
-        """
-        counts = np.diff(self.node_offsets)
-        n_max = int(counts.max())
-        padded = np.zeros((self.n_reps, n_max, 2), dtype=float)
-        mask = np.arange(n_max)[None, :] < counts[:, None]
-        padded[mask] = self.positions
-        return padded, mask
-
-    def ring_indices(self) -> np.ndarray:
-        """Flat ``(N,)`` ring number (1-based) of every stacked node."""
-        partition = RingPartition(self.n_rings, self.radius)
-        radial = np.hypot(self.positions[:, 0], self.positions[:, 1])
-        return np.asarray(partition.ring_of(radial))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2,7 +2,8 @@
 
 The ROADMAP's "millions of users asking for broadcast parameters"
 architecture: an asyncio front end (:class:`QueryService`) over the
-sharded, concurrency-safe store and the cache-aware scheduler.  A
+content-addressed store (its atomic per-writer writes need no lock
+under the executor threads) and the cache-aware scheduler.  A
 request asks a bound/objective question at one density
 (:mod:`repro.serve.protocol`); the service decomposes it into
 content-addressed simulation tasks, then spends as little as possible

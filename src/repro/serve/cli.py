@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-serve",
         description="Serve bound/objective queries over a result store.",
     )
-    parser.add_argument("store", help="store directory (classic or sharded)")
+    parser.add_argument("store", help="store directory")
     parser.add_argument(
         "--workers", type=int, default=1, help="scheduler workers per batch"
     )

@@ -5,8 +5,8 @@ populations over and over; paying a disk read + JSON decode + checksum
 per hit would dominate warm latency.  :class:`MemoryTier` keeps the
 *unpacked* :class:`~repro.sim.results.RunResult` batches of the most
 recently used keys in process memory, bounded by entry count;
-:class:`ReadThroughStore` wraps any disk backend with it while
-preserving the full store interface, so the scheduler, gc, and the
+:class:`ReadThroughStore` wraps a :class:`~repro.store.DiskStore` with
+it while preserving the store interface, so the scheduler, gc, and the
 service all run unchanged on top.
 
 Bit-identity: a memory hit returns the exact object graph the disk hit
@@ -108,7 +108,7 @@ class ReadThroughStore:
     ``get`` consults memory first and populates it from disk on a miss;
     ``put`` writes through (disk first — crash safety never depends on
     the memory tier — then memory); ``delete`` drops both.  Everything
-    else (``keys``, ``stats``, ``verify``, index and journal plumbing)
+    else (``keys``, ``stats``, ``verify``, ``flush_index``, paths)
     delegates, so :func:`repro.store.scheduler.run_tasks` accepts a
     read-through store wherever it accepts a plain backend.
 
@@ -165,17 +165,14 @@ class ReadThroughStore:
         return self.backend.journals_dir
 
     @property
-    def objects_dirs(self) -> list[Path]:
-        return self.backend.objects_dirs
+    def objects_dir(self) -> Path:
+        return self.backend.objects_dir
 
     def path_for(self, key: str) -> Path:
         return self.backend.path_for(key)
 
     def keys(self) -> Iterator[str]:
         return self.backend.keys()
-
-    def nbytes(self) -> int:
-        return self.backend.nbytes()
 
     def stats(self) -> dict:
         stats = dict(self.backend.stats())
@@ -184,12 +181,6 @@ class ReadThroughStore:
 
     def verify(self) -> list[tuple[str, str]]:
         return self.backend.verify()
-
-    def load_index(self) -> dict[str, dict]:
-        return self.backend.load_index()
-
-    def rebuild_index(self) -> dict[str, dict]:
-        return self.backend.rebuild_index()
 
     def flush_index(self) -> None:
         self.backend.flush_index()

@@ -47,8 +47,8 @@ if TYPE_CHECKING:
 
 __all__ = ["replicate", "simulate_pb", "sweep_grid"]
 
-#: Accepted forms of the ``store=`` argument: an opened backend
-#: (classic, sharded or read-through), a directory path, or ``None``
+#: Accepted forms of the ``store=`` argument: an opened store (a
+#: ``DiskStore`` or a read-through one), a directory path, or ``None``
 #: (no caching).
 StoreLike = Union["StoreBackend", str, "os.PathLike[str]", None]
 
@@ -270,9 +270,8 @@ def replicate(
         config, git SHA, environment, timings) to
         ``manifest_dir/manifest.json`` after the runs complete.
     store:
-        A store backend (a :class:`repro.store.DiskStore`, a
-        :class:`repro.store.ShardedBackend`, a
-        :class:`repro.serve.ReadThroughStore`, ...) or a store directory
+        A store (a :class:`repro.store.DiskStore` or a
+        :class:`repro.serve.ReadThroughStore`) or a store directory
         path: serve cached replications, persist fresh ones.  Results
         are bit-identical with the store on, off, or warm.
     resume:

@@ -10,17 +10,12 @@ makes grid sweeps survive being killed mid-run:
   a canonical JSON form; no wall clock or RNG may leak in, enforced by
   the ``flow-det-taint`` and ``flow-effects`` analyses).
 * :mod:`repro.store.backend` — :class:`DiskStore`: packed
-  :class:`~repro.sim.results.RunResult` batches with atomic writes,
-  per-entry checksums (corruption is detected and recomputed, never
-  served) and an advisory index; :class:`ShardedBackend`: the same
-  entry format fanned across 16 hex-prefix shards with per-shard write
-  logs and advisory locks, safe under concurrent schedulers
-  (:func:`open_store` sniffs the layout, :func:`migrate_store` /
-  ``repro-store migrate`` converts bit-identically).
+  :class:`~repro.sim.results.RunResult` batches with atomic per-writer
+  writes (racing writers, processes or threads, need no lock: entries
+  are content-addressed), per-entry checksums (corruption is detected
+  and recomputed, never served) and an advisory index.
 * :mod:`repro.store.journal` — append-only per-sweep completion
-  journals (a killed sweep resumes from where it died), plus the
-  per-shard segmented write logs and ``flock`` file locks behind the
-  sharded backend.
+  journals (a killed sweep resumes from where it died).
 * :mod:`repro.store.scheduler` — :func:`run_tasks`, the cache-aware
   executor behind ``replicate(..., store=)`` / ``sweep_grid(...,
   store=)``: hits served, misses pooled, completions persisted as they
@@ -35,15 +30,13 @@ mid-sweep.
 
 from repro.store.backend import (
     DiskStore,
-    ShardedBackend,
     StoreBackend,
-    migrate_store,
     open_store,
     pack_result,
     unpack_result,
 )
 from repro.store.gc import GcReport, collect_garbage
-from repro.store.journal import FileLock, ShardJournal, SweepJournal
+from repro.store.journal import SweepJournal
 from repro.store.keys import (
     RESULT_SCHEMA_VERSION,
     canonical_json,
@@ -55,17 +48,13 @@ from repro.store.scheduler import run_tasks
 
 __all__ = [
     "DiskStore",
-    "ShardedBackend",
     "StoreBackend",
     "open_store",
-    "migrate_store",
     "pack_result",
     "unpack_result",
     "GcReport",
     "collect_garbage",
     "SweepJournal",
-    "FileLock",
-    "ShardJournal",
     "RESULT_SCHEMA_VERSION",
     "canonical_json",
     "seed_fingerprint",

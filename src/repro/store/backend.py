@@ -1,24 +1,12 @@
-"""Disk backends: packed :class:`RunResult` batches behind atomic writes.
+"""The disk store: packed :class:`RunResult` batches behind atomic writes.
 
-Layout of a classic (unsharded) store directory::
+Layout of a store directory::
 
     <root>/
       store.json             # {"schema": "repro.store/1"} — layout marker
       index.json             # advisory key -> {nbytes} map (rebuildable)
       objects/<k[:2]>/<k>.json   # one entry per task key
       journals/<sweep>.jsonl     # per-sweep completion journals
-
-A sharded store (:class:`ShardedBackend`) fans the same entry format
-out across 16 hex-prefix shards, each a self-contained
-:class:`DiskStore` plus a write log and an advisory lock::
-
-    <root>/
-      store.json             # {"schema": "repro.store/sharded-1", ...}
-      journals/<sweep>.jsonl # sweep journals stay store-wide
-      shards/<x>/            # x = first hex char of the key
-        store.json, index.json, objects/...   # a DiskStore
-        journal/seg-*.jsonl  # ShardJournal write log
-        .lock                # FileLock serializing writers
 
 Every entry is a single JSON document carrying its own SHA-256 checksum
 over the canonical payload text, so bit rot and torn writes are
@@ -27,10 +15,8 @@ served.  Writes go to a temp file in the same directory followed by
 ``os.replace`` — readers never observe a half-written entry, and a
 crash leaves at worst an orphaned ``*.tmp`` the next ``gc`` sweeps up.
 Each writer (process and thread) names its own temp file, so two
-writers racing on one key each rename a whole file of their own.
-Because the sharded layout reuses the entry format byte-for-byte,
-:func:`migrate_store` copies entry files verbatim — checksums and
-bit-identity carry over by construction.
+writers racing on one key each rename a whole file of their own; keys
+are content-addressed, so either rename leaves the same bytes.
 
 The index is advisory: ``put``/``delete`` maintain it, but the objects
 directory is the source of truth and :meth:`DiskStore.rebuild_index`
@@ -56,7 +42,6 @@ import hashlib
 import json
 import math
 import os
-import shutil
 import threading
 from pathlib import Path
 from typing import Any, Iterator, Protocol, Sequence
@@ -68,28 +53,19 @@ from repro.analysis.trace import BroadcastTrace
 from repro.errors import StoreCorruptionError, StoreError
 from repro.obs import spans as obs_spans
 from repro.sim.results import RunResult
-from repro.store.journal import FileLock, ShardJournal
 from repro.store.keys import RESULT_SCHEMA_VERSION, canonical_json
 
 __all__ = [
     "STORE_SCHEMA",
-    "SHARDED_SCHEMA",
-    "N_SHARDS",
     "pack_result",
     "unpack_result",
     "DiskStore",
-    "ShardedBackend",
     "StoreBackend",
     "open_store",
-    "migrate_store",
 ]
 
 STORE_SCHEMA = "repro.store/1"
-SHARDED_SCHEMA = "repro.store/sharded-1"
-#: Shards of a :class:`ShardedBackend` — one per first hex char of a key.
-N_SHARDS = 16
-_SHARD_NAMES = "0123456789abcdef"
-_KEY_CHARS = frozenset(_SHARD_NAMES)
+_KEY_CHARS = frozenset("0123456789abcdef")
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +184,10 @@ class DiskStore:
 
     Notes
     -----
-    Safe for concurrent *processes* doing independent puts/gets — entry
-    writes are atomic and keys are content-addressed, so the worst case
-    of a racing double-put is writing identical bytes twice.  The
+    Safe without a lock for concurrent writers, processes or threads,
+    doing independent puts/gets — entry writes are atomic and keys are
+    content-addressed, so the worst case of a racing double-put is
+    writing identical bytes twice.  The
     advisory ``index.json`` may lag under races; it is rebuilt on
     demand and never consulted for correctness.
     """
@@ -247,11 +224,6 @@ class DiskStore:
         self.journals_dir.mkdir(exist_ok=True)
 
     # ------------------------------------------------------------------
-    @property
-    def objects_dirs(self) -> list[Path]:
-        """Objects directories to scan (one here; one per shard when sharded)."""
-        return [self.objects_dir]
-
     def path_for(self, key: str) -> Path:
         """Entry path for a key (two-char fan-out keeps dirs small)."""
         _check_key(key)
@@ -441,209 +413,12 @@ class DiskStore:
         return f"DiskStore({str(self.root)!r})"
 
 
-# ----------------------------------------------------------------------
-# the sharded store
-# ----------------------------------------------------------------------
-class ShardedBackend:
-    """Sixteen hex-prefix :class:`DiskStore` shards behind one interface.
-
-    A key ``k`` lives in shard ``k[0]`` — keys are SHA-256 hex, so load
-    spreads uniformly and the shard of a key never changes.  Each shard
-    is a complete :class:`DiskStore` (same entry format, own advisory
-    index) plus a :class:`~repro.store.journal.ShardJournal` write log
-    and a :class:`~repro.store.journal.FileLock`.  Mutations take the
-    shard's lock around entry write + journal append + index touch, so
-    two concurrent schedulers hammering the same shard serialize those
-    few milliseconds and nothing else — reads never lock (entry writes
-    are atomic), and writers on *different* shards never contend.
-
-    Sweep journals remain store-wide under ``<root>/journals`` — a
-    sweep spans shards, and its completion record is about the sweep,
-    not about placement.
-
-    The interface deliberately mirrors :class:`DiskStore` (``put`` /
-    ``get`` / ``delete`` / ``keys`` / ``stats`` / ``verify`` /
-    ``flush_index`` / ``path_for`` / ``objects_dirs``), so the
-    scheduler, gc, and CLI accept either via :data:`StoreBackend`.
-    """
-
-    def __init__(
-        self,
-        root: str | os.PathLike[str],
-        *,
-        max_segment_bytes: int = 1 << 20,
-    ) -> None:
-        self.root = Path(root)
-        self.journals_dir = self.root / "journals"
-        marker = self.root / "store.json"
-        if marker.exists():
-            try:
-                meta = json.loads(marker.read_text())
-            except ValueError as exc:
-                raise StoreError(f"unreadable store marker at {marker}") from exc
-            if meta.get("schema") != SHARDED_SCHEMA:
-                raise StoreError(
-                    f"not a sharded store (schema={meta.get('schema')!r}) "
-                    f"at {self.root} — run `repro-store migrate` to convert"
-                )
-            if meta.get("shards") not in (None, N_SHARDS):
-                raise StoreError(
-                    f"unsupported shard count {meta.get('shards')!r} at {self.root}"
-                )
-        else:
-            self.root.mkdir(parents=True, exist_ok=True)
-            _atomic_write_text(
-                marker,
-                json.dumps(
-                    {
-                        "schema": SHARDED_SCHEMA,
-                        "result_schema": RESULT_SCHEMA_VERSION,
-                        "shards": N_SHARDS,
-                    }
-                )
-                + "\n",
-            )
-        self.journals_dir.mkdir(exist_ok=True)
-        shards_dir = self.root / "shards"
-        shards_dir.mkdir(exist_ok=True)
-        self.shards: dict[str, DiskStore] = {
-            name: DiskStore(shards_dir / name) for name in _SHARD_NAMES
-        }
-        self._journals: dict[str, ShardJournal] = {
-            name: ShardJournal(
-                shards_dir / name / "journal", max_segment_bytes=max_segment_bytes
-            )
-            for name in _SHARD_NAMES
-        }
-        self._locks: dict[str, FileLock] = {
-            name: FileLock(shards_dir / name / ".lock") for name in _SHARD_NAMES
-        }
-
-    # ------------------------------------------------------------------
-    def shard_for(self, key: str) -> DiskStore:
-        """The shard holding ``key`` (its first hex char)."""
-        _check_key(key)
-        return self.shards[key[0]]
-
-    def shard_lock(self, key: str) -> FileLock:
-        """The advisory writer lock of ``key``'s shard."""
-        _check_key(key)
-        return self._locks[key[0]]
-
-    def shard_journal(self, key: str) -> ShardJournal:
-        """The write log of ``key``'s shard."""
-        _check_key(key)
-        return self._journals[key[0]]
-
-    @property
-    def objects_dirs(self) -> list[Path]:
-        """Every shard's objects directory, in shard order."""
-        return [self.shards[name].objects_dir for name in _SHARD_NAMES]
-
-    def path_for(self, key: str) -> Path:
-        return self.shard_for(key).path_for(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.shard_for(key)
-
-    def put(self, key: str, results: Sequence[RunResult]) -> int:
-        """Store a batch under ``key``, serialized per shard.
-
-        The shard lock covers the entry write, the journal append, and
-        the index touch as one critical section — a concurrent writer
-        on the same shard waits; one on a different shard does not.
-        """
-        _check_key(key)
-        with self._locks[key[0]]:
-            nbytes = self.shards[key[0]].put(key, results)
-            self._journals[key[0]].append("put", key, nbytes)
-        return nbytes
-
-    def get(self, key: str, *, touch: bool = True) -> list[RunResult] | None:
-        return self.shard_for(key).get(key, touch=touch)
-
-    def delete(self, key: str) -> bool:
-        _check_key(key)
-        with self._locks[key[0]]:
-            existed = self.shards[key[0]].delete(key)
-            if existed:
-                self._journals[key[0]].append("delete", key)
-        return existed
-
-    def keys(self) -> Iterator[str]:
-        """Every stored key; shard order is lexicographic, so global too."""
-        for name in _SHARD_NAMES:
-            yield from self.shards[name].keys()
-
-    def nbytes(self) -> int:
-        return sum(self.shards[name].nbytes() for name in _SHARD_NAMES)
-
-    def stats(self) -> dict:
-        """Store-wide totals plus a per-shard breakdown."""
-        shards: dict[str, dict] = {}
-        entries = 0
-        nbytes = 0
-        for name in _SHARD_NAMES:
-            s = self.shards[name].stats()
-            shards[name] = {
-                "entries": s["entries"],
-                "nbytes": s["nbytes"],
-                "journal_segments": len(self._journals[name].segments()),
-            }
-            entries += s["entries"]
-            nbytes += s["nbytes"]
-        journals = len(list(self.journals_dir.glob("*.jsonl")))
-        return {
-            "root": str(self.root),
-            "schema": SHARDED_SCHEMA,
-            "result_schema": RESULT_SCHEMA_VERSION,
-            "entries": entries,
-            "nbytes": nbytes,
-            "journals": journals,
-            "shards": shards,
-        }
-
-    def verify(self) -> list[tuple[str, str]]:
-        bad: list[tuple[str, str]] = []
-        for name in _SHARD_NAMES:
-            bad.extend(self.shards[name].verify())
-        return bad
-
-    # ------------------------------------------------------------------
-    def load_index(self) -> dict[str, dict]:
-        """Union of the shard indexes (keys are globally unique)."""
-        merged: dict[str, dict] = {}
-        for name in _SHARD_NAMES:
-            merged.update(self.shards[name].load_index())
-        return merged
-
-    def rebuild_index(self) -> dict[str, dict]:
-        merged: dict[str, dict] = {}
-        for name in _SHARD_NAMES:
-            with self._locks[name]:
-                merged.update(self.shards[name].rebuild_index())
-        return merged
-
-    def flush_index(self) -> None:
-        """Flush every shard's pending index updates, under its lock."""
-        for name in _SHARD_NAMES:
-            shard = self.shards[name]
-            if shard._index is None or not shard._index_dirty:
-                continue
-            with self._locks[name]:
-                shard.flush_index()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ShardedBackend({str(self.root)!r})"
-
-
 class StoreBackend(Protocol):
     """The backend seam: what the scheduler, gc, and CLI require.
 
-    :class:`DiskStore`, :class:`ShardedBackend`, and
-    :class:`repro.serve.memory.ReadThroughStore` all satisfy it
-    structurally; a future remote/object-store backend plugs in by
-    implementing the same surface.
+    :class:`DiskStore` and :class:`repro.serve.memory.ReadThroughStore`
+    (a memory tier in front of a :class:`DiskStore`) satisfy it
+    structurally.
     """
 
     @property
@@ -653,7 +428,7 @@ class StoreBackend(Protocol):
     def journals_dir(self) -> Path: ...
 
     @property
-    def objects_dirs(self) -> list[Path]: ...
+    def objects_dir(self) -> Path: ...
 
     def path_for(self, key: str) -> Path: ...
 
@@ -667,79 +442,20 @@ class StoreBackend(Protocol):
 
     def keys(self) -> Iterator[str]: ...
 
-    def nbytes(self) -> int: ...
-
     def stats(self) -> dict: ...
 
     def verify(self) -> list[tuple[str, str]]: ...
 
-    def load_index(self) -> dict[str, dict]: ...
-
-    def rebuild_index(self) -> dict[str, dict]: ...
-
     def flush_index(self) -> None: ...
 
 
-def open_store(root: str | os.PathLike[str]) -> StoreBackend:
-    """Open a store directory as whichever backend its marker declares.
+def open_store(root: str | os.PathLike[str]) -> DiskStore:
+    """Open (or create) the store directory ``root`` as a :class:`DiskStore`.
 
-    A missing marker (new directory) creates a classic
-    :class:`DiskStore` — sharding is opt-in via
-    :class:`ShardedBackend` or ``repro-store migrate``.
+    Raises
+    ------
+    StoreError
+        If ``root`` holds a store marker of another schema, such as the
+        retired sharded layout's ``repro.store/sharded-1``.
     """
-    marker = Path(root) / "store.json"
-    if marker.exists():
-        try:
-            meta = json.loads(marker.read_text())
-        except ValueError as exc:
-            raise StoreError(f"unreadable store marker at {marker}") from exc
-        if meta.get("schema") == SHARDED_SCHEMA:
-            return ShardedBackend(root)
     return DiskStore(root)
-
-
-def migrate_store(
-    src: str | os.PathLike[str], dst: str | os.PathLike[str]
-) -> dict:
-    """Copy a classic store into a fresh sharded one, bit-identically.
-
-    Entry files are copied verbatim — each embeds its own checksum over
-    the canonical payload, and both layouts share the entry format, so
-    migrated entries are byte-identical to their sources (``verify``
-    passes on both sides unchanged).  Sweep journals move to the
-    sharded store's store-wide ``journals/``; per-shard write logs
-    start from the migrated population.
-    """
-    source = open_store(src)
-    if isinstance(source, ShardedBackend):
-        raise StoreError(f"store at {src} is already sharded")
-    dst_path = Path(dst)
-    if dst_path.exists() and any(dst_path.iterdir()):
-        raise StoreError(f"migration target {dst} exists and is not empty")
-    target = ShardedBackend(dst_path)
-    entries = 0
-    nbytes = 0
-    for key in source.keys():
-        src_file = source.path_for(key)
-        dst_file = target.path_for(key)
-        dst_file.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(src_file, dst_file)
-        size = dst_file.stat().st_size
-        shard = target.shard_for(key)
-        shard._index_update(key, size)
-        target.shard_journal(key).append("put", key, size)
-        entries += 1
-        nbytes += size
-    target.flush_index()
-    journals = 0
-    if source.journals_dir.exists():
-        for jf in sorted(source.journals_dir.glob("*.jsonl")):
-            shutil.copy2(jf, target.journals_dir / jf.name)
-            journals += 1
-    return {
-        "src": str(source.root),
-        "dst": str(target.root),
-        "entries": entries,
-        "nbytes": nbytes,
-        "journals": journals,
-    }

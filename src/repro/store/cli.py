@@ -6,16 +6,10 @@ Subcommands::
     python -m repro.store verify DIR [--delete]
     python -m repro.store gc DIR [--max-bytes N] [--max-age-days D] [--dry-run]
     python -m repro.store invalidate DIR (--all | PREFIX [PREFIX ...])
-    python -m repro.store migrate SRC DST
-
-Every subcommand opens the directory as whichever backend its marker
-declares (classic or sharded); ``stats`` adds a per-shard breakdown on
-sharded stores and degrades to the flat report on legacy ones.
-``migrate`` copies a classic store into a fresh sharded one
-bit-identically (entries are copied verbatim, checksums included).
 
 Exit codes: 0 success, 1 problems found (corrupt entries, nothing
-matched), 2 usage errors.
+matched), 2 usage errors (including a directory that is not a
+``repro.store/1`` store).
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ import json
 import sys
 
 from repro.errors import StoreError
-from repro.store.backend import StoreBackend, migrate_store, open_store
+from repro.store.backend import StoreBackend, open_store
 from repro.store.gc import collect_garbage
 
 __all__ = ["main"]
@@ -62,12 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("store", help="store directory")
     p_inv.add_argument("prefixes", nargs="*", help="hex key prefixes to drop")
     p_inv.add_argument("--all", action="store_true", help="drop every entry")
-
-    p_mig = sub.add_parser(
-        "migrate", help="copy a classic store into a fresh sharded one"
-    )
-    p_mig.add_argument("store", help="source store directory (classic layout)")
-    p_mig.add_argument("dst", help="destination directory (must not exist)")
     return parser
 
 
@@ -78,13 +66,6 @@ def _cmd_stats(store: StoreBackend, args: argparse.Namespace) -> int:
     else:
         for k in ("root", "schema", "entries", "nbytes", "journals"):
             print(f"{k}: {stats[k]}")
-        # Sharded stores break totals down; legacy stores have no row.
-        for name, shard in sorted(stats.get("shards", {}).items()):
-            print(
-                f"shard {name}: {shard['entries']} entries, "
-                f"{shard['nbytes']} bytes, "
-                f"{shard['journal_segments']} journal segments"
-            )
     return 0
 
 
@@ -133,24 +114,9 @@ def _cmd_invalidate(store: StoreBackend, args: argparse.Namespace) -> int:
     return 0 if doomed or args.all else 1
 
 
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    try:
-        report = migrate_store(args.store, args.dst)
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"migrated {report['entries']} entries ({report['nbytes']} bytes), "
-        f"{report['journals']} sweep journals -> {report['dst']}"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "migrate":
-        return _cmd_migrate(args)
     try:
         store = open_store(args.store)
     except StoreError as exc:

@@ -102,9 +102,8 @@ def collect_garbage(
     if not dry_run:
         for key in doomed:
             store.delete(key)
-        for objects_dir in store.objects_dirs:
-            for tmp in objects_dir.rglob("*.tmp"):
-                tmp.unlink(missing_ok=True)
+        for tmp in store.objects_dir.rglob("*.tmp"):
+            tmp.unlink(missing_ok=True)
         store.flush_index()
 
     return GcReport(

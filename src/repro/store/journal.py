@@ -1,24 +1,14 @@
-"""Append-only journals: per-sweep completion records, per-shard write logs.
+"""Append-only sweep journals: one completion record per sweep.
 
-The store is the source of truth for result *bytes*; journals are the
-source of truth for *history*.  Two kinds live here:
-
-* :class:`SweepJournal` — one file per sweep (identified by
-  :func:`repro.store.keys.sweep_key` over its ordered task keys) under
-  ``<store>/journals/``: a header line naming the sweep, then one line
-  per completed task.  Lines are flushed as they are written, so a
-  sweep killed at task 7,000 of 10,000 leaves a journal with exactly
-  the 7,000 completions that also made it into the store — re-running
-  with ``resume=True`` appends to that record and only the missing
-  3,000 tasks execute.
-* :class:`ShardJournal` — the write log of one
-  :class:`~repro.store.backend.ShardedBackend` shard: a directory of
-  size-bounded JSONL segments recording every put/delete.  Appends
-  happen under the shard's :class:`FileLock` (the caller holds it), so
-  two concurrent schedulers never interleave partial lines; segment
-  rotation is an atomic compare-and-swap — ``O_CREAT | O_EXCL`` on the
-  next segment number — so exactly one racing writer creates each new
-  segment and the loser simply appends to the winner's.
+The store is the source of truth for result *bytes*; a journal is the
+source of truth for a sweep's *history*.  :class:`SweepJournal` keeps
+one file per sweep (identified by :func:`repro.store.keys.sweep_key`
+over its ordered task keys) under ``<store>/journals/``: a header line
+naming the sweep, then one line per completed task.  Lines are flushed
+as they are written, so a sweep killed at task 7,000 of 10,000 leaves a
+journal with exactly the 7,000 completions that also made it into the
+store — re-running with ``resume=True`` appends to that record and only
+the missing 3,000 tasks execute.
 
 Loading tolerates a torn final line (the one way an append-only file
 can be damaged by a crash) by discarding it; anything else malformed
@@ -28,241 +18,14 @@ raises :class:`~repro.errors.StoreCorruptionError`.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO
 
-from repro.errors import StoreCorruptionError, StoreError
+from repro.errors import StoreCorruptionError
 
-try:  # advisory flock is POSIX-only; elsewhere locking degrades to no-op
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-
-__all__ = [
-    "JOURNAL_SCHEMA",
-    "SHARD_JOURNAL_SCHEMA",
-    "SweepJournal",
-    "FileLock",
-    "ShardJournal",
-]
+__all__ = ["JOURNAL_SCHEMA", "SweepJournal"]
 
 JOURNAL_SCHEMA = "repro.journal/1"
-SHARD_JOURNAL_SCHEMA = "repro.shard-journal/1"
-
-
-class FileLock:
-    """Advisory exclusive lock on a file, via ``fcntl.flock``.
-
-    Guards a shard's journal-append + index-mutation critical section
-    across *processes* (two schedulers writing the same shard).  The
-    lock file itself carries no data; holding the open descriptor
-    locked is the whole protocol.  Reentrant use within one process is
-    not supported — hold the lock for the duration of one put/delete.
-    On platforms without ``fcntl`` the lock degrades to a no-op (entry
-    writes are individually atomic either way; only journal-line
-    interleaving protection is lost).
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._fd: int | None = None
-
-    def acquire(self) -> None:
-        if self._fd is not None:
-            raise StoreError(f"lock at {self.path} is already held")
-        self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-        if fcntl is not None:
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-
-    def release(self) -> None:
-        if self._fd is None:
-            return
-        try:
-            if fcntl is not None:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-        finally:
-            os.close(self._fd)
-            self._fd = None
-
-    @property
-    def held(self) -> bool:
-        return self._fd is not None
-
-    def __enter__(self) -> "FileLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "held" if self.held else "free"
-        return f"FileLock({str(self.path)!r}, {state})"
-
-
-def _segment_name(index: int) -> str:
-    return f"seg-{index:08d}.jsonl"
-
-
-def _segment_index(path: Path) -> int | None:
-    name = path.name
-    if not (name.startswith("seg-") and name.endswith(".jsonl")):
-        return None
-    digits = name[4:-6]
-    return int(digits) if digits.isdigit() else None
-
-
-class ShardJournal:
-    """One shard's append-only write log, in size-bounded segments.
-
-    Layout: ``<dir>/seg-00000001.jsonl``, ``seg-00000002.jsonl``, … —
-    each segment opens with a header line (schema + segment number)
-    followed by one record per store mutation.  The *active* segment is
-    the highest-numbered one; when an append finds it at or past
-    ``max_segment_bytes`` it rotates first.
-
-    Rotation is a filesystem compare-and-swap: the writer computes the
-    next segment number and tries ``os.open(..., O_CREAT | O_EXCL)``.
-    Exactly one of N racing writers wins the create (and writes the
-    header); losers observe ``FileExistsError`` — meaning the swap
-    already happened — and append to the winner's segment.  A crash
-    between create and header write leaves an empty segment, which
-    loading treats as torn-and-empty rather than corrupt.
-
-    Appends themselves are not internally locked: the caller (the
-    sharded backend) holds the shard :class:`FileLock` around append +
-    index mutation, which is what keeps concurrently written lines
-    whole.
-    """
-
-    def __init__(
-        self, directory: str | Path, *, max_segment_bytes: int = 1 << 20
-    ) -> None:
-        if max_segment_bytes <= 0:
-            raise StoreError(
-                f"max_segment_bytes must be > 0, got {max_segment_bytes}"
-            )
-        self.directory = Path(directory)
-        self.max_segment_bytes = max_segment_bytes
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    # ------------------------------------------------------------------
-    def segments(self) -> list[Path]:
-        """Segment files in rotation order."""
-        found = []
-        for path in self.directory.iterdir():
-            index = _segment_index(path)
-            if index is not None:
-                found.append((index, path))
-        return [path for _, path in sorted(found)]
-
-    def _create_segment(self, index: int) -> Path | None:
-        """CAS-create segment ``index``; ``None`` if another writer won."""
-        path = self.directory / _segment_name(index)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            return None
-        try:
-            header = json.dumps(
-                {"schema": SHARD_JOURNAL_SCHEMA, "segment": index},
-                sort_keys=True,
-            )
-            os.write(fd, (header + "\n").encode("utf-8"))
-        finally:
-            os.close(fd)
-        return path
-
-    def active_segment(self) -> Path:
-        """The segment appends go to, rotating/creating as needed."""
-        segs = self.segments()
-        if not segs:
-            created = self._create_segment(1)
-            if created is not None:
-                return created
-            segs = self.segments()  # another writer created it first
-        active = segs[-1]
-        try:
-            size = active.stat().st_size
-        except FileNotFoundError:  # pragma: no cover - raced with cleanup
-            size = 0
-        if size >= self.max_segment_bytes:
-            index = _segment_index(active)
-            assert index is not None
-            created = self._create_segment(index + 1)
-            if created is not None:
-                return created
-            return self.segments()[-1]  # lost the CAS; use the winner's
-        return active
-
-    def append(self, op: str, key: str, nbytes: int = 0) -> None:
-        """Record one mutation (caller holds the shard lock)."""
-        line = json.dumps(
-            {"op": op, "key": key, "nbytes": int(nbytes)}, sort_keys=True
-        )
-        path = self.active_segment()
-        with path.open("a") as fh:
-            if fh.tell() == 0:
-                # Heal a headerless segment left by a crash between the
-                # CAS create and the winner's header write.
-                index = _segment_index(path)
-                fh.write(
-                    json.dumps(
-                        {"schema": SHARD_JOURNAL_SCHEMA, "segment": index},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            fh.write(line + "\n")
-            fh.flush()
-
-    def entries(self) -> Iterator[dict]:
-        """Every recorded mutation across segments, in write order.
-
-        A torn final line of any segment (crash mid-append) and a
-        missing header of the newest segment (crash mid-rotation) are
-        tolerated; malformed interior lines raise
-        :class:`~repro.errors.StoreCorruptionError`.
-        """
-        for path in self.segments():
-            lines = path.read_text().splitlines()
-            if not lines:
-                continue  # empty segment from a crashed rotation
-            try:
-                header = json.loads(lines[0])
-                schema = header.get("schema")
-            except ValueError:
-                schema = None
-            if schema != SHARD_JOURNAL_SCHEMA:
-                if path == self.segments()[-1]:
-                    continue  # torn header of the active segment
-                raise StoreCorruptionError(
-                    f"not a shard journal segment (bad header) at {path}"
-                )
-            for lineno, line in enumerate(lines[1:], start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    yield {
-                        "op": str(entry["op"]),
-                        "key": str(entry["key"]),
-                        "nbytes": int(entry["nbytes"]),
-                    }
-                except (ValueError, KeyError, TypeError) as exc:
-                    if lineno == len(lines):
-                        break  # torn final line from a crash mid-append
-                    raise StoreCorruptionError(
-                        f"malformed shard journal line {lineno} at {path}"
-                    ) from exc
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ShardJournal({str(self.directory)!r})"
 
 
 class SweepJournal:

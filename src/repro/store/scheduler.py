@@ -162,10 +162,10 @@ def run_tasks(
         strategy, never part of a task's identity.  Retry rounds fall
         back to ``execute`` per task, isolating any member that fails.
     store:
-        The result store — classic :class:`~repro.store.backend.DiskStore`
-        or :class:`~repro.store.backend.ShardedBackend`; ``None``
-        degrades to plain :func:`~repro.utils.parallel.parallel_map`
-        semantics (still with per-task capture and retry).
+        The result store (a :class:`~repro.store.backend.DiskStore`,
+        bare or read-through); ``None`` degrades to plain
+        :func:`~repro.utils.parallel.parallel_map` semantics (still
+        with per-task capture and retry).
     resume:
         Reuse this sweep's existing journal, appending to it, instead
         of starting a fresh one.  Correctness never depends on the
@@ -178,9 +178,9 @@ def run_tasks(
     backoff:
         Base delay (seconds) before retry round ``k``, growing as
         ``backoff * 2**(k-1)`` — a deterministic, jitter-free schedule
-        (same sweep, same delays), so transient contention (a busy
-        shard lock, an exhausted pool) gets room to clear without
-        hammering.  ``0`` restores immediate re-execution.
+        (same sweep, same delays), so transient contention (an
+        exhausted pool) gets room to clear without hammering.  ``0``
+        restores immediate re-execution.
     progress:
         ``progress(done, total, recent_results)`` hook; ``done`` counts
         hits and completions together.

@@ -1,8 +1,7 @@
 """Stacked deployments and the block index of the batched engine.
 
 Pins the layout contracts: a :class:`DeploymentBatch` draw is
-bit-identical to ``R`` independent per-run draws, the padded ``(R,
-n_max, 2)`` view is zero-padding over the flat layout, and every
+bit-identical to ``R`` independent per-run draws, and every
 replication's neighbor pairs from the :class:`BlockIndex` equal the CSR
 a standalone :class:`Topology` builds for it.  The index's pairs are
 also checked against an all-pairs brute force with the builder's own
@@ -108,27 +107,8 @@ class TestDeploymentBatch:
         assert batch.node_offsets[0] == 0
         assert np.array_equal(np.diff(batch.node_offsets), counts)
         assert batch.n_nodes_total == sum(counts)
-        assert np.array_equal(batch.source_ids, batch.node_offsets[:-1])
         # Every source sits at the origin of its block.
-        assert np.allclose(batch.positions[batch.source_ids], 0.0)
-
-    def test_padded_positions_ragged(self):
-        batch = _batch(population="poisson")
-        padded, mask = batch.padded_positions()
-        counts = np.diff(batch.node_offsets)
-        assert padded.shape == (batch.n_reps, counts.max(), 2)
-        assert mask.shape == padded.shape[:2]
-        assert np.array_equal(mask.sum(axis=1), counts)
-        # Valid rows hold the flat positions in order; padding is zero.
-        assert np.array_equal(padded[mask], batch.positions)
-        assert np.all(padded[~mask] == 0.0)
-
-    def test_ring_indices_match_per_run(self):
-        batch = _batch()
-        flat = batch.ring_indices()
-        for r, dep in enumerate(batch.deployments):
-            lo, hi = batch.node_offsets[r], batch.node_offsets[r + 1]
-            assert np.array_equal(flat[lo:hi], dep.ring_indices())
+        assert np.allclose(batch.positions[batch.node_offsets[:-1]], 0.0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -16,7 +16,6 @@ from repro.serve import (
 )
 from repro.serve.cli import main as serve_cli
 from repro.serve.workload import _percentile
-from repro.store import ShardedBackend
 
 
 class TestParseRequest:
@@ -169,7 +168,6 @@ class TestBenchCommand:
     def test_bench_reports_and_merges_perf(
         self, tmp_path, workload_file, capsys
     ):
-        ShardedBackend(tmp_path / "store")  # bench over the new layout
         perf = tmp_path / "perf.json"
         perf.write_text(json.dumps({"current": {"existing": 1.0}, "seed": {}}))
         trace = tmp_path / "trace.json"

@@ -1,5 +1,7 @@
 """Read-through memory tier: LRU bounds, bit-identity, counters."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import replicate
 from repro.serve import MemoryTier, ReadThroughStore
-from repro.store import DiskStore, ShardedBackend, task_key
+from repro.store import DiskStore, task_key
 from repro.utils.rng import as_seed_sequence
 
 
@@ -88,10 +90,10 @@ class TestMemoryTier:
 
 
 class TestReadThroughStore:
-    @pytest.mark.parametrize("backend_cls", [DiskStore, ShardedBackend])
-    def test_warm_reads_bit_identical(self, tmp_path, results, keys, backend_cls):
-        backend = backend_cls(tmp_path / "s")
-        store = ReadThroughStore(backend, max_entries=8)
+    # Backed by a DiskStore given to it, or by a path it opens itself.
+    @pytest.mark.parametrize("backend_of", [DiskStore, Path])
+    def test_warm_reads_bit_identical(self, tmp_path, results, keys, backend_of):
+        store = ReadThroughStore(backend_of(tmp_path / "s"), max_entries=8)
         for key, res in zip(keys, results):
             store.put(key, [res])
         # Cold (memory populated by put's write-through or first get),
@@ -148,8 +150,7 @@ class TestReadThroughStore:
         assert stats["memory"]["max_entries"] == 8
 
     def test_wrapping_path_opens_backend(self, tmp_path, results, keys):
-        ShardedBackend(tmp_path / "s")
         store = ReadThroughStore(tmp_path / "s", max_entries=8)
-        assert isinstance(store.backend, ShardedBackend)
+        assert isinstance(store.backend, DiskStore)
         store.put(keys[0], [results[0]])
         assert keys[0] in store

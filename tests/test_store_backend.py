@@ -15,6 +15,7 @@ from repro.store import (
     RESULT_SCHEMA_VERSION,
     DiskStore,
     canonical_json,
+    open_store,
     pack_result,
     task_key,
     unpack_result,
@@ -244,6 +245,11 @@ class TestDiskStore:
         (root / "store.json").write_text('{"schema": "something/else"}')
         with pytest.raises(StoreError):
             DiskStore(root)
+        # The retired sharded layout's marker is refused before any write.
+        (root / "store.json").write_text('{"schema": "repro.store/sharded-1"}')
+        with pytest.raises(StoreError, match="repro.store/sharded-1"):
+            open_store(root)
+        assert sorted(p.name for p in root.iterdir()) == ["store.json"]
 
     def test_index_rebuilt_from_objects(self, store, cfg, runs):
         key = key_for(cfg)

@@ -1,25 +1,20 @@
-"""Concurrent writers on one store: flock, crashes, recovery, racing puts."""
+"""Concurrent writers on one store: racing processes, threads and puts."""
 
 import multiprocessing
-import os
-
-import pytest
+import threading
 
 from repro.analysis.config import AnalysisConfig
 from repro.protocols.pbcast import ProbabilisticRelay
+from repro.serve import ReadThroughStore
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import _execute
 from repro.store import (
     DiskStore,
-    FileLock,
-    ShardedBackend,
     open_store,
     run_tasks,
     task_key,
 )
 from repro.utils.rng import as_seed_sequence
-
-fcntl = pytest.importorskip("fcntl")
 
 CFG = SimulationConfig(analysis=AnalysisConfig(n_rings=3, rho=15))
 
@@ -33,7 +28,7 @@ def _make_tasks(p: float, seed: int, n: int):
 
 
 def _writer(root, specs, barrier):
-    store = ShardedBackend(root)
+    store = DiskStore(root)
     tasks, keys = [], []
     for p, seed, n in specs:
         t, k = _make_tasks(p, seed, n)
@@ -51,18 +46,11 @@ def _putter(root, key, results, barrier, n):
         store.put(key, results)
 
 
-def _lock_holder(path, acquired, release):
-    lock = FileLock(path)
-    with lock:
-        acquired.set()
-        release.wait(timeout=30)
-
-
 class TestConcurrentWriters:
     def test_two_schedulers_one_store_no_lost_entries(self, tmp_path):
         """Acceptance test: two interleaved writers, nothing lost or torn."""
         root = tmp_path / "s"
-        ShardedBackend(root)  # write the marker before forking
+        DiskStore(root)  # write the marker before forking
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(2)
         # Overlapping work: both write (0.5, seed 7); each adds its own.
@@ -87,17 +75,11 @@ class TestConcurrentWriters:
             assert key in store
             assert store.get(key)  # unpacks → checksums verified
         assert store.verify() == []
-        # Shard journals recorded every surviving entry.
-        journalled = set()
-        for journal in store._journals.values():
-            for entry in journal.entries():
-                journalled.add(entry["key"])
-        assert set(keys_shared + keys_a + keys_b) <= journalled
 
     def test_same_tasks_from_both_writers_bit_identical(self, tmp_path):
         """Two writers race on IDENTICAL keys; last write is still valid."""
         root = tmp_path / "s"
-        ShardedBackend(root)
+        DiskStore(root)
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(2)
         procs = [
@@ -146,66 +128,40 @@ class TestClassicLayoutRacingPuts:
         assert list(store.objects_dir.rglob("*.tmp")) == []
 
 
-class TestFlockAcrossProcesses:
-    def test_lock_excludes_other_process(self, tmp_path):
-        path = tmp_path / ".lock"
-        ctx = multiprocessing.get_context("fork")
-        acquired = ctx.Event()
-        release = ctx.Event()
-        proc = ctx.Process(target=_lock_holder, args=(path, acquired, release))
-        proc.start()
-        try:
-            assert acquired.wait(timeout=30)
-            fd = os.open(path, os.O_RDWR)
+class TestExecutorThreads:
+    def test_four_threads_one_read_through_store(self, tmp_path):
+        """Serve's executor threads: run_tasks from four threads at once.
+
+        Two threads share one task list (racing puts of the same keys);
+        the other two have their own.  The memory tier holds 4 of the 18
+        keys, so gets keep falling through to disk while puts land.
+        """
+        store = ReadThroughStore(DiskStore(tmp_path / "s"), max_entries=4)
+        shared = _make_tasks(0.5, 7, 6)
+        task_lists = [shared, shared, _make_tasks(0.3, 11, 6), _make_tasks(0.7, 13, 6)]
+        barrier = threading.Barrier(len(task_lists), timeout=60)
+        errors = []
+
+        def work(tasks, keys):
             try:
-                with pytest.raises(BlockingIOError):
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            finally:
-                os.close(fd)
-        finally:
-            release.set()
-            proc.join(timeout=30)
-        assert proc.exitcode == 0
-        # Released now: acquiring from this process succeeds.
-        with FileLock(path):
-            pass
+                barrier.wait()
+                for _ in range(20):
+                    run_tasks(_execute, tasks, keys, store=store)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
 
-
-class TestCrashRecovery:
-    def test_torn_journal_and_stale_tmp_recoverable(self, tmp_path):
-        """A writer killed mid-append leaves a torn line + tmp litter."""
-        store = ShardedBackend(tmp_path / "s")
-        tasks, keys = _make_tasks(0.5, 7, 4)
-        for task, key in zip(tasks, keys):
-            store.put(key, [_execute(task)])
-        store.flush_index()
-        # Crash artifacts: torn final journal line, orphaned tmp object.
-        seg = store.shard_journal(keys[0]).segments()[-1]
-        with seg.open("a") as fh:
-            fh.write('{"op": "put", "key": "dead')  # no newline — torn
-        tmp = store.path_for(keys[0]).with_suffix(".json.tmp")
-        tmp.write_text("partial write")
-        reopened = open_store(tmp_path / "s")
-        assert sorted(reopened.keys()) == sorted(keys)
-        assert reopened.verify() == []
-        survivors = [
-            e["key"] for e in reopened.shard_journal(keys[0]).entries()
+        threads = [
+            threading.Thread(target=work, args=task_list) for task_list in task_lists
         ]
-        assert "dead" not in "".join(survivors)
-        for key in keys:
-            assert reopened.get(key)
-
-    def test_index_rebuild_after_crash(self, tmp_path):
-        """Losing every shard index is recoverable from the objects."""
-        store = ShardedBackend(tmp_path / "s")
-        tasks, keys = _make_tasks(0.5, 7, 4)
-        for task, key in zip(tasks, keys):
-            store.put(key, [_execute(task)])
-        store.flush_index()
-        for shard in store.shards.values():
-            index = shard.root / "index.json"
-            if index.exists():
-                index.unlink()
-        reopened = open_store(tmp_path / "s")
-        reopened.rebuild_index()
-        assert sorted(reopened.keys()) == sorted(keys)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        all_keys = {key for _, keys in task_lists for key in keys}
+        assert len(all_keys) == 18
+        for key in all_keys:
+            assert key in store.backend
+        assert store.verify() == []
+        assert list(store.objects_dir.rglob("*.tmp")) == []
