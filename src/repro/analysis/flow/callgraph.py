@@ -55,7 +55,3 @@ class CallGraph:
                     seen.add(callee)
                     queue.append(callee)
         return seen
-
-    def call_sites_of(self, callee_fq: str) -> list[tuple[str, CallSite, ResolvedCall]]:
-        """Project call sites that can reach ``callee_fq``."""
-        return self.callers.get(callee_fq, [])

@@ -74,14 +74,6 @@ class CallSite:
     lineno: int = 0
     col: int = 0
 
-    def all_input_roots(self) -> list[str]:
-        out: list[str] = []
-        for roots in self.arg_roots:
-            out.extend(roots)
-        for roots in self.kwarg_roots.values():
-            out.extend(roots)
-        return out
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "index": self.index,

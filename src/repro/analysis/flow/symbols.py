@@ -20,8 +20,8 @@ Resolution handles the shapes this codebase actually uses:
 * ``self.method()`` with a project-local MRO walk;
 * higher-order calls: a call through a parameter resolves to the
   union of project functions passed to that parameter at any project
-  call site (``parallel_map(_execute, ...)`` makes calls through the
-  callback parameter reach ``_execute``);
+  call site (``parallel_map(_run_block, ...)`` makes calls through the
+  callback parameter reach ``_run_block``);
 * value-method calls (``rng.integers(...)``, ``cell.spawn(2)``) reduce
   to a bare method name plus receiver roots — the analyses interpret
   those (generator methods, ``spawn``, duck-typed effect lookup).
@@ -120,9 +120,6 @@ class Project:
     @property
     def classes(self) -> dict[str, dict[str, str]]:
         return {cls: self.methods_of(cls) for cls in self._own_methods}
-
-    def is_class(self, fq: str) -> bool:
-        return fq in self._own_methods
 
     def methods_of(self, fq_cls: str) -> dict[str, str]:
         """Merged method table of a class over its project-local MRO."""

@@ -87,12 +87,13 @@ class StoreCorruptionError(StoreError):
 
 
 class SchedulerError(StoreError):
-    """Tasks of a store-backed sweep kept failing after bounded retry.
+    """Tasks of a sweep kept failing after bounded retry.
 
-    Everything that *did* complete has already been persisted to the
-    store and journaled, so re-running the same sweep (``resume=True``)
-    only retries the failed tasks.  ``failures`` holds ``(task_index,
-    key, exception)`` triples; ``attempts`` is how many execution
+    With a store, everything that *did* complete has already been
+    persisted and journaled, so re-running the same sweep
+    (``resume=True``) only retries the failed tasks.  ``failures`` holds
+    ``(task_index, key, exception)`` triples (``key`` is ``None`` for a
+    storeless run); ``attempts`` is how many execution
     rounds each surviving failure went through (retries + 1 unless the
     task appeared mid-sweep).
     """

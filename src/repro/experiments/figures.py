@@ -120,7 +120,6 @@ def simulation_grid(scale: ExperimentScale, rho: float) -> dict[float, list[RunR
         progress=scale.progress,
         store=scale.store,
         resume=scale.resume,
-        block_size=scale.block_size,
     )
     for r in rhos:
         grid = {

@@ -75,10 +75,6 @@ class ExperimentScale:
         recomputed ones.
     resume:
         With ``store``: resume an interrupted sweep from its journal.
-    block_size:
-        Replications per dispatched simulation block (``None`` = the
-        engine heuristic).  Like ``progress`` and ``store``, not part of
-        the figure-cache key: results are bit-identical at any blocking.
     """
 
     name: str
@@ -91,7 +87,6 @@ class ExperimentScale:
     progress: bool = False
     store: str | None = None
     resume: bool = False
-    block_size: int | None = None
 
     @classmethod
     def full(
@@ -101,7 +96,6 @@ class ExperimentScale:
         progress: bool = False,
         store: str | None = None,
         resume: bool = False,
-        block_size: int | None = None,
     ) -> "ExperimentScale":
         """The paper's exact grids (minutes of wall time for sim figures)."""
         return cls(
@@ -114,7 +108,6 @@ class ExperimentScale:
             progress=progress,
             store=store,
             resume=resume,
-            block_size=block_size,
         )
 
     @classmethod
@@ -125,7 +118,6 @@ class ExperimentScale:
         progress: bool = False,
         store: str | None = None,
         resume: bool = False,
-        block_size: int | None = None,
     ) -> "ExperimentScale":
         """Coarse grids for CI: same qualitative shapes, ~100x cheaper."""
         return cls(
@@ -138,7 +130,6 @@ class ExperimentScale:
             progress=progress,
             store=store,
             resume=resume,
-            block_size=block_size,
         )
 
     # ------------------------------------------------------------------

@@ -80,13 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --store: resume an interrupted sweep from its journal",
     )
     parser.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="replications per dispatched simulation block "
-        "(default: engine heuristic; results are identical at any blocking)",
-    )
-    parser.add_argument(
         "-o", "--output", default=None, help="write to a file instead of stdout"
     )
     return parser
@@ -108,7 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         progress=args.progress,
         store=args.store,
         resume=args.resume,
-        block_size=args.block_size,
     )
 
     if args.figures == "all":

@@ -4,7 +4,7 @@ Lines go to *stderr* so they compose with result output on stdout.  Two
 shapes:
 
 * :class:`SweepProgress` — a callback for
-  :func:`repro.utils.parallel.parallel_map`'s ``progress`` hook.  It
+  :func:`repro.store.scheduler.run_tasks`'s ``progress`` hook.  It
   aggregates completed :class:`~repro.sim.results.RunResult` chunks into
   rate / ETA / collision lines, throttled so a million tiny tasks don't
   melt the terminal.
@@ -64,7 +64,7 @@ class SweepProgress:
         self._runs = 0
 
     def update(self, done: int, total: int, results: Sequence) -> None:
-        """``parallel_map`` progress hook: one call per completed chunk."""
+        """``run_tasks`` progress hook: one call per completed chunk."""
         self._done = done
         self.total = total
         for r in results:
@@ -78,21 +78,6 @@ class SweepProgress:
             return
         self._last_print = now
         self._print(now)
-
-    def update_blocks(self, done: int, total: int, results: Sequence) -> None:
-        """Progress hook for replication-*block* dispatch.
-
-        When the runner batches replications, each ``parallel_map`` item
-        is a whole block and its result is a ``list[RunResult]`` —
-        ``done``/``total`` arrive in block units, which would make the
-        ``X/Y runs`` line and the ETA lie by the block factor.  This
-        hook flattens the blocks and advances the run counter by the
-        number of runs they actually contain, keeping every printed
-        quantity in run units (``self.total`` stays the run total the
-        instance was constructed with).
-        """
-        runs = [r for block in results for r in block]
-        self.update(self._done + len(runs), self.total, runs)
 
     def _print(self, now: float) -> None:
         elapsed = max(now - self._t0, 1e-9)

@@ -108,7 +108,7 @@ def span_tree_lines(spans: list[SpanEvent], *, max_children: int = 12) -> list[s
     Each line shows name, category, duration, self time, and the share
     of its root's duration.  Sibling lists longer than ``max_children``
     are elided with a count (profiled sweeps have hundreds of
-    ``runner.task`` leaves; the aggregate table covers those).
+    ``runner.block`` leaves; the aggregate table covers those).
     """
     selfs = self_times(spans)
     known = {s.span_id for s in spans}

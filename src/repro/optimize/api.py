@@ -170,7 +170,6 @@ def optimize(
     store: StoreLike = None,
     resume: bool = False,
     retries: int = 1,
-    block_size: int | None = None,
     progress: bool = False,
     manifest_dir: PathLike = None,
 ) -> OptimizeResult:
@@ -211,8 +210,8 @@ def optimize(
     min_feasible:
         Per-candidate feasibility quorum (see
         :class:`~repro.optimize.spec.OptimizeQuery`).
-    engine, alignment, workers, store, resume, retries, block_size,
-    progress, manifest_dir:
+    engine, alignment, workers, store, resume, retries, progress,
+    manifest_dir:
         Forwarded to the Monte-Carlo sweep (see
         :func:`~repro.sim.runner.sweep_grid`).
     """
@@ -299,7 +298,6 @@ def optimize(
             store=store,
             resume=resume,
             retries=retries,
-            block_size=block_size,
             progress=progress,
         )
         if h_verify is not None:

@@ -129,22 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="candidate cap for the simulator (default: 4)",
     )
     verify.add_argument(
-        "--engine",
-        choices=("vector", "event"),
-        default="vector",
-        help="simulation engine (default: vector)",
-    )
-    verify.add_argument(
         "--workers",
         type=int,
         default=1,
         help="processes for the verification sweep (default: 1)",
-    )
-    verify.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="replications per dispatched block (default: engine heuristic)",
     )
     verify.add_argument(
         "--store",
@@ -257,11 +245,9 @@ def main(argv: list[str] | None = None) -> int:
             replications=args.replications,
             max_verify=args.max_verify,
             min_feasible=args.min_feasible,
-            engine=args.engine,
             workers=args.workers,
             store=args.store,
             resume=args.resume,
-            block_size=args.block_size,
             manifest_dir=args.manifest_dir,
         )
     except ValueError as exc:  # includes ConfigurationError

@@ -5,9 +5,9 @@ against the simulator for a *tolerance band* of candidates — the
 frontier rungs themselves plus any probed point whose objectives sit
 within a relative tolerance of the frontier — capped at ``max_verify``
 points.  Candidates dispatch as one
-:func:`~repro.sim.runner.sweep_grid` call, which routes replication
-blocks through the :mod:`repro.store` scheduler when a store is given:
-each rung's seed comes from :func:`~repro.optimize.search.candidate_seed`
+:func:`~repro.sim.runner.sweep_grid` call, which runs replication
+blocks through the :mod:`repro.store` scheduler, reading and filling
+the store when one is given: each rung's seed comes from :func:`~repro.optimize.search.candidate_seed`
 (a pure function of the root seed and the rung), so a repeated or
 adjacent query finds its tasks already in the store and performs zero
 new simulator runs — pinned by test via the ``store.lookup`` span's
@@ -105,7 +105,6 @@ def verify_candidates(
     store: StoreLike = None,
     resume: bool = False,
     retries: int = 1,
-    block_size: int | None = None,
     progress: bool = False,
     manifest_dir: PathLike = None,
 ) -> dict[int, Evaluation]:
@@ -136,7 +135,6 @@ def verify_candidates(
         store=store,
         resume=resume,
         retries=retries,
-        block_size=block_size,
         progress=progress,
         manifest_dir=manifest_dir,
     )

@@ -8,11 +8,11 @@ enforced by the ``repro.serve.`` contract in the flow analysis — and
 reaches compute exclusively through injected callables, so tests swap
 in counting/failing fakes without touching asyncio internals.
 
-Planning mirrors :func:`repro.sim.runner.replicate` exactly: a fresh
-``SeedSequence(seed)`` is spawned into ``replications`` children *per
-probability*, so (a) serve task keys are identical to offline
-``replicate`` keys — warm stores are shared across entry points — and
-(b) every candidate probability of one request reuses the same seed
+Planning goes through the runner's own planner,
+:func:`repro.sim.runner.point_tasks`, once per probability with the
+request's seed: so (a) serve task keys are the keys offline
+``replicate`` computes — warm stores are shared across entry points —
+and (b) every candidate probability of one request reuses the same seed
 children (common random numbers across ``ps``).
 """
 
@@ -25,16 +25,9 @@ from repro.protocols.pbcast import ProbabilisticRelay
 from repro.serve.protocol import ServeRequest
 from repro.sim.config import SimulationConfig
 from repro.sim.results import RunResult
-from repro.sim.runner import (
-    DEFAULT_BLOCK_SIZE,
-    _block_assignment,
-    _execute,
-    _execute_block,
-)
+from repro.sim.runner import assign_blocks, point_tasks, task_keys
 from repro.store.backend import StoreBackend
-from repro.store.keys import task_key
 from repro.store.scheduler import run_tasks
-from repro.utils.rng import as_seed_sequence
 
 __all__ = ["TaskPlan", "plan_tasks", "execute_tasks"]
 
@@ -72,23 +65,21 @@ def plan_tasks(request: ServeRequest) -> TaskPlan:
         analysis=AnalysisConfig(n_rings=request.n_rings, rho=request.rho)
     )
     tasks: list[tuple] = []
-    keys: list[str] = []
     slices: dict[float, slice] = {}
     for p in request.ps:
-        policy = ProbabilisticRelay(p)
-        # Fresh root per probability: children (and so task keys) match
-        # replicate(policy, config, replications, seed=request.seed).
-        children = as_seed_sequence(request.seed).spawn(request.replications)
         start = len(tasks)
-        for child in children:
-            tasks.append(
-                (policy, config, child, request.engine, request.alignment, None)
-            )
-            keys.append(
-                task_key(policy, config, child, request.engine, request.alignment)
-            )
+        # The request's seed roots every probability, as it roots
+        # replicate(ProbabilisticRelay(p), config, replications, seed).
+        tasks += point_tasks(
+            ProbabilisticRelay(p),
+            config,
+            request.seed,
+            request.replications,
+            engine=request.engine,
+            alignment=request.alignment,
+        )
         slices[p] = slice(start, len(tasks))
-    return TaskPlan(tasks, keys, slices)
+    return TaskPlan(tasks, task_keys(tasks), slices)
 
 
 # repro: allow(flow-effects) — the serve tier's one sanctioned compute door: delegates to run_tasks (io+rng) on an executor thread; reached only through the service's injected execute callable
@@ -106,30 +97,17 @@ def execute_tasks(
     Hits are served from the store (including the read-through memory
     tier when ``store`` wraps one), misses execute, completions
     persist — exactly the offline path, so a result's provenance never
-    depends on which front door asked for it.  Misses run in
-    replication blocks as in :func:`~repro.sim.runner.sweep_grid`: a
-    block is a run of consecutive tasks sharing policy, config and
-    engine (one request's replications of one ``p``), at most
-    :data:`~repro.sim.runner.DEFAULT_BLOCK_SIZE` long.  DES tasks stay
-    one per block.
+    depends on which front door asked for it.  Misses run in the
+    replication blocks :func:`~repro.sim.runner.assign_blocks` forms,
+    as offline sweeps do: one request's replications of one ``p`` share
+    a block, and each DES task is a block of its own.
     """
-    groups: list[int] = []
-    prev: tuple | None = None
-    for task in tasks:
-        family = (task[0], task[1], task[3])
-        if task[3] != "vector" or family != prev:
-            groups.append(len(groups))
-        else:
-            groups.append(groups[-1])
-        prev = family
     return run_tasks(
-        _execute,
         list(tasks),
         list(keys),
         store=store,
         workers=workers,
         retries=retries,
         backoff=backoff,
-        batch_execute=_execute_block,
-        block_of=_block_assignment(groups, DEFAULT_BLOCK_SIZE),
+        block_of=assign_blocks(tasks),
     )

@@ -24,6 +24,7 @@ nests under ``"memory"``.
 from __future__ import annotations
 
 import os
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -39,11 +40,15 @@ class MemoryTier:
     """Bounded LRU map of store key -> unpacked result batch.
 
     Plain :class:`~collections.OrderedDict` LRU: a hit moves the key to
-    the back, an insert past ``max_entries`` evicts the front.  Not
-    thread-safe by itself; the service mutates it only from the event
-    loop thread, and the scheduler (executor thread) goes through
-    :class:`ReadThroughStore`, whose mutations are single dict ops —
-    atomic under the GIL.
+    the back, an insert past ``max_entries`` evicts the front.  The
+    service reads it from the event loop thread, and the scheduler
+    reaches it through :class:`ReadThroughStore` from serve's executor
+    threads.  ``get`` and ``put`` are several dict operations each (a
+    lookup then a move, an insert then evictions), so they, ``discard``
+    and ``clear`` hold one lock: another thread's eviction between a
+    lookup and its move would raise ``KeyError``.  ``peek``,
+    ``__contains__`` and ``__len__`` are single dict operations and
+    take no lock.
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
@@ -53,6 +58,7 @@ class MemoryTier:
             )
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, list[RunResult]]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -62,26 +68,30 @@ class MemoryTier:
         return self._entries.get(key)
 
     def get(self, key: str) -> list[RunResult] | None:
-        batch = self._entries.get(key)
-        if batch is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return batch
+        with self._lock:
+            batch = self._entries.get(key)
+            if batch is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return batch
 
     def put(self, key: str, batch: list[RunResult]) -> None:
-        self._entries[key] = batch
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        with self._lock:
+            self._entries[key] = batch
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def discard(self, key: str) -> None:
-        self._entries.pop(key, None)
+        with self._lock:
+            self._entries.pop(key, None)
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries

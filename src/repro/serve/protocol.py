@@ -18,11 +18,12 @@ task keys (and therefore share one scheduler run and one store entry);
 an implicit "fresh entropy per request" default would silently defeat
 every cache tier.
 
-Task planning mirrors :func:`repro.sim.runner.replicate` exactly
-(fresh ``SeedSequence(seed)`` spawned into ``replications`` children
-per probability), so serve traffic shares store entries with offline
-``replicate``/``sweep_grid`` workloads, and candidate probabilities of
-one request share deployments (common random numbers) for free.
+Task planning goes through the runner's planner,
+:func:`repro.sim.runner.point_tasks` (fresh ``SeedSequence(seed)``
+spawned into ``replications`` children per probability), so serve
+traffic shares store entries with offline ``replicate``/``sweep_grid``
+workloads, and candidate probabilities of one request share
+deployments (common random numbers) for free.
 
 Requests parse from JSON objects (one per line on the CLI's stdio
 loop); :func:`request_key` fingerprints a request for response ids and
@@ -39,7 +40,9 @@ from typing import Any, Mapping
 
 from repro.errors import ConfigurationError, ServeError
 from repro.optimize.spec import OptimizeQuery
+from repro.sim.runner import ENGINES
 from repro.store.keys import canonical_json
+from repro.utils.validation import check_in
 
 __all__ = [
     "REQUEST_KINDS",
@@ -78,7 +81,9 @@ class ServeRequest:
     bounds, objectives, min_feasible:
         As in :class:`repro.optimize.spec.OptimizeQuery`.
     n_rings, engine, alignment:
-        Scenario knobs forwarded to the simulation config / runner.
+        Scenario knobs forwarded to the simulation config / runner:
+        ``engine`` is one of :data:`repro.sim.runner.ENGINES`,
+        ``alignment`` (DES only) ``"phase"`` or ``"jitter"``.
     """
 
     kind: str
@@ -116,6 +121,8 @@ class ServeRequest:
             raise ConfigurationError(
                 f"replications must be > 0, got {self.replications}"
             )
+        check_in("engine", self.engine, ENGINES)
+        check_in("alignment", self.alignment, ("phase", "jitter"))
         # Delegate bound/objective semantics to the optimizer's model —
         # one validator, one error vocabulary.
         self.query()

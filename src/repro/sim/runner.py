@@ -1,25 +1,24 @@
 """Monte-Carlo replication of broadcast simulations.
 
 The paper's simulation figures average 30 independent runs per grid
-point (Sec. 5).  :func:`replicate` spawns independent seed-sequence
-children for each run — reproducible, order-independent — and executes
-them serially or across a process pool via
-:func:`repro.utils.parallel.parallel_map`.  :func:`sweep_grid` is the
-grid-scale entry point: it flattens an entire ``(rho, p)`` sweep into
-one task list so a single process pool serves every grid point (instead
-of paying pool startup per point), and can optionally reuse one sampled
-deployment per ``(rho, replication)`` cell across all probabilities
-(common random numbers).
+point (Sec. 5).  :func:`point_tasks` plans one point: one task per
+seed-sequence child spawned from the point's root, so runs are
+reproducible and order-independent.  :func:`replicate` runs one point;
+:func:`sweep_grid` is the grid-scale entry point: it flattens an entire
+``(rho, p)`` sweep into one task list so a single process pool serves
+every grid point (instead of paying pool startup per point), and can
+optionally reuse one sampled deployment per ``(rho, replication)`` cell
+across all probabilities (common random numbers).
 
+Every task list runs through :func:`repro.store.scheduler.run_tasks` in
+the replication blocks :func:`assign_blocks` forms: a vector block
+advances through :func:`~repro.sim.engine.run_broadcast_batch`, traced
+or not, and each DES task is a block of its own (:func:`execute_block`).
 Both entry points accept ``store=`` — any store backend, or a path —
 to run through the content-addressed result store: cached tasks are
 served without computing, fresh completions are persisted and journaled
 as they land (so a killed sweep resumes where it died via
 ``resume=True``), and results are bit-identical to a storeless run.
-
-Vector-engine work runs in replication blocks through
-:func:`~repro.sim.engine.run_broadcast_batch`, traced or not; a task
-dispatched on its own is a block of one.  DES tasks run one by one.
 """
 
 from __future__ import annotations
@@ -38,14 +37,23 @@ from repro.protocols.base import RelayPolicy
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.results import RunResult
-from repro.utils.parallel import parallel_map
 from repro.utils.rng import SeedLike, as_seed_sequence
 from repro.utils.validation import check_in, check_positive_int
 
 if TYPE_CHECKING:
     from repro.store.backend import StoreBackend
 
-__all__ = ["replicate", "simulate_pb", "sweep_grid"]
+__all__ = [
+    "ENGINES",
+    "DEFAULT_BLOCK_SIZE",
+    "point_tasks",
+    "task_keys",
+    "assign_blocks",
+    "execute_block",
+    "replicate",
+    "simulate_pb",
+    "sweep_grid",
+]
 
 #: Accepted forms of the ``store=`` argument: an opened store (a
 #: ``DiskStore`` or a read-through one), a directory path, or ``None``
@@ -55,96 +63,113 @@ StoreLike = Union["StoreBackend", str, "os.PathLike[str]", None]
 #: Accepted forms of the ``manifest_dir=`` argument.
 PathLike = Union[str, "os.PathLike[str]", None]
 
-#: Replications dispatched per pool task for ``engine="vector"`` when
-#: the caller left ``block_size=None``.  Matches the paper's ~30 runs
-#: per grid point, so a whole point usually advances as one stacked
-#: update.
+#: Engine names a task may carry: the vectorized slot-stepper and the
+#: discrete-event object engine.
+ENGINES: tuple[str, ...] = ("vector", "des")
+
+#: Most vector replications one block advances.  Matches the paper's
+#: ~30 runs per grid point, so a whole point usually advances as one
+#: stacked update.
 DEFAULT_BLOCK_SIZE = 32
 
 
-def _execute(task: tuple) -> RunResult:
-    """Worker entry point (top-level so it pickles)."""
-    policy, config, child_seed, engine, alignment, deployment = task
+def point_tasks(
+    policy: RelayPolicy,
+    config: SimulationConfig,
+    seed: SeedLike,
+    replications: int,
+    *,
+    engine: str = "vector",
+    alignment: str = "phase",
+) -> list[tuple]:
+    """The ``replications`` tasks of one ``(policy, config)`` point.
+
+    A task is the tuple ``(policy, config, seed, engine, alignment,
+    deployment)``: task ``i`` runs on the ``i``-th child spawned from
+    ``seed`` and samples its own deployment.  Every entry point plans a
+    point here, so one point and seed has one set of store keys.
+    """
+    return [
+        (policy, config, child, engine, alignment, None)
+        for child in as_seed_sequence(seed).spawn(replications)
+    ]
+
+
+def task_keys(tasks: Sequence[tuple]) -> list[str]:
+    """The store key of each task (:func:`repro.store.keys.task_key`).
+
+    A task that carries a pre-sampled deployment is keyed as a
+    common-random-numbers task.
+    """
+    from repro.store.keys import task_key
+
     prof = obs_spans.profiler()
     begin = prof.begin if prof.enabled else None
-    h = begin("runner.task", "runner") if begin is not None else None
-    if engine == "vector":
-        from repro.sim.engine import run_broadcast
-
-        result = run_broadcast(policy, config, child_seed, deployment=deployment)
-    else:
-        from repro.sim.desimpl import DesBroadcastSimulation
-
-        result = DesBroadcastSimulation(
-            policy, config, child_seed, alignment=alignment, deployment=deployment
-        ).run()
+    h = begin("store.keys", "store") if begin is not None else None
+    keys = [
+        task_key(pol, cfg, seed, eng, align, reuse_deployment=dep is not None)
+        for pol, cfg, seed, eng, align, dep in tasks
+    ]
     if h is not None:
-        h.end()
-    return result
+        h.end(keys=len(keys))
+    return keys
 
 
-def _execute_block(tasks: Sequence[tuple]) -> list[RunResult]:
-    """Worker entry point for one replication block (top-level, pickles).
+def assign_blocks(tasks: Sequence[tuple]) -> list[int]:
+    """Block id per task: the replication blocks a task list runs in.
 
-    Every task in a block shares ``(policy, config, engine, alignment)``
-    by construction (see :func:`_block_assignment`); only seeds and
-    optional pre-built deployments vary, which is exactly the shape
-    :func:`~repro.sim.engine.run_broadcast_batch` consumes.  The DES
-    engine has no block form, so a DES block runs its tasks one by one.
-    """
-    from repro.sim.engine import run_broadcast_batch
-
-    policy, config, _, engine, _, _ = tasks[0]
-    if engine != "vector":
-        return [_execute(task) for task in tasks]
-    seeds = [t[2] for t in tasks]
-    deployments = [t[5] for t in tasks]
-    deps = deployments if deployments[0] is not None else None
-    prof = obs_spans.profiler()
-    begin = prof.begin if prof.enabled else None
-    h = begin("runner.block", "runner") if begin is not None else None
-    results = run_broadcast_batch(policy, config, seeds, deployments=deps)
-    if h is not None:
-        h.end(reps=len(tasks))
-    return results
-
-
-def _resolve_block_size(block_size: int | None, engine: str) -> int:
-    """Effective replication-block size; ``0`` dispatches task by task.
-
-    Blocks only form for ``engine="vector"``.  Task-by-task dispatch
-    runs each vector task as a block of one, so results (and traced
-    event streams) are identical for every block size.
-    """
-    if engine != "vector":
-        return 0
-    if block_size is None:
-        return DEFAULT_BLOCK_SIZE
-    if block_size < 0:
-        raise ConfigurationError(f"block_size must be >= 0, got {block_size}")
-    return 0 if block_size <= 1 else block_size
-
-
-def _block_assignment(groups: Sequence[int], block_size: int) -> list[int]:
-    """Block id per task: consecutive same-group tasks, ``block_size`` max.
-
-    ``groups[i]`` identifies the ``(policy, config)`` family of task
-    ``i`` (e.g. the grid-point index); only consecutive tasks of one
-    family may share a block, which is what lets the block worker pull
-    ``policy``/``config`` from its first member.
+    A block is a run of consecutive vector tasks that share policy,
+    config and deployment kind (sampled or pre-built), at most
+    :data:`DEFAULT_BLOCK_SIZE` long; each DES task is a block of its
+    own.  Results do not depend on blocking.
     """
     block_of: list[int] = []
     bid = -1
-    count = block_size
-    prev: int | None = None
-    for g in groups:
-        if g != prev or count >= block_size:
+    size = 0
+    prev: tuple | None = None
+    for policy, config, _, engine, _, deployment in tasks:
+        family = (policy, config, deployment is None) if engine == "vector" else None
+        # Tuple equality tests identity first: O(1) on shared objects.
+        if family is None or family != prev or size == DEFAULT_BLOCK_SIZE:
             bid += 1
-            count = 0
-            prev = g
+            size = 0
+        prev = family
         block_of.append(bid)
-        count += 1
+        size += 1
     return block_of
+
+
+def execute_block(tasks: Sequence[tuple]) -> list[RunResult]:
+    """Worker entry point: run one replication block (top-level, pickles).
+
+    A vector block shares policy and config (see :func:`assign_blocks`),
+    the shape :func:`~repro.sim.engine.run_broadcast_batch` consumes.
+    The DES has no block form, so its tasks run one after another.
+    Either way the block reports one ``runner.block`` span with ``reps``.
+    """
+    prof = obs_spans.profiler()
+    begin = prof.begin if prof.enabled else None
+    h = begin("runner.block", "runner") if begin is not None else None
+    policy, config, _, engine, _, deployment = tasks[0]
+    if engine == "vector":
+        from repro.sim.engine import run_broadcast_batch
+
+        results = run_broadcast_batch(
+            policy,
+            config,
+            [task[2] for task in tasks],
+            deployments=None if deployment is None else [task[5] for task in tasks],
+        )
+    else:
+        from repro.sim.desimpl import DesBroadcastSimulation
+
+        results = [
+            DesBroadcastSimulation(pol, cfg, s, alignment=align, deployment=dep).run()
+            for pol, cfg, s, _, align, dep in tasks
+        ]
+    if h is not None:
+        h.end(reps=len(tasks))
+    return results
 
 
 def _open_store(store: StoreLike) -> "StoreBackend | None":
@@ -158,66 +183,6 @@ def _open_store(store: StoreLike) -> "StoreBackend | None":
 
         return open_store(store)
     return store
-
-
-def _run_task_list(
-    tasks: list[tuple],
-    keys: list[str] | None,
-    store: "StoreBackend | None",
-    resume: bool,
-    workers: int | None,
-    retries: int,
-    prog: "obs_progress.SweepProgress | None",
-    block_of: list[int] | None = None,
-) -> list[RunResult]:
-    """Dispatch a task list through the scheduler or plain parallel_map.
-
-    ``block_of`` (from :func:`_block_assignment`) switches on
-    replication-block dispatch: each block becomes one pool task running
-    :func:`~repro.sim.engine.run_broadcast_batch`.  Results, store
-    entries, and progress lines stay per run either way.
-    """
-    if store is not None:
-        from repro.store.scheduler import run_tasks
-
-        assert keys is not None
-        return run_tasks(
-            _execute,
-            tasks,
-            keys,
-            store=store,
-            resume=resume,
-            workers=workers,
-            retries=retries,
-            progress=prog.update if prog is not None else None,
-            batch_execute=_execute_block if block_of is not None else None,
-            block_of=block_of,
-        )
-    if block_of is not None:
-        blocks: list[list[int]] = []
-        prev_bid: int | None = None
-        for i, bid in enumerate(block_of):
-            if not blocks or bid != prev_bid:
-                blocks.append([])
-                prev_bid = bid
-            blocks[-1].append(i)
-        block_results = parallel_map(
-            _execute_block,
-            [[tasks[i] for i in blk] for blk in blocks],
-            workers=workers,
-            progress=prog.update_blocks if prog is not None else None,
-        )
-        out: list[RunResult | None] = [None] * len(tasks)
-        for blk, res in zip(blocks, block_results, strict=True):
-            for i, r in zip(blk, res, strict=True):
-                out[i] = r
-        return [r for r in out if r is not None]
-    return parallel_map(
-        _execute,
-        tasks,
-        workers=workers,
-        progress=prog.update if prog is not None else None,
-    )
 
 
 def replicate(
@@ -234,7 +199,6 @@ def replicate(
     store: StoreLike = None,
     resume: bool = False,
     retries: int = 1,
-    block_size: int | None = None,
 ) -> list[RunResult]:
     """Run ``replications`` independent simulations of one scenario.
 
@@ -247,21 +211,14 @@ def replicate(
     seed:
         Root seed; each run gets an independent spawned child.
     engine:
-        ``"vector"`` (fast slot-stepper) or ``"des"`` (object engine).
+        ``"vector"`` (fast slot-stepper) or ``"des"`` (object engine);
+        see :data:`ENGINES`.
     alignment:
         Slot alignment mode, DES engine only (``"phase"``/``"jitter"``).
     workers:
         Process count for :func:`repro.utils.parallel.parallel_map`;
         ``1`` (default) runs serially, ``None`` uses all cores but one.
-        With batching, a pool task is one replication *block*.
-    block_size:
-        Replications advanced per
-        :func:`~repro.sim.engine.run_broadcast_batch` block (vector
-        engine only).  ``None`` (default) picks
-        :data:`DEFAULT_BLOCK_SIZE`; ``0`` or ``1`` runs one replication
-        per block.  Traced runs use blocks too: each replication still
-        reports its own event stream, in replication order.  Results
-        are bit-identical for every setting; only wall-clock changes.
+        A pool task is one replication block (see :func:`assign_blocks`).
     progress:
         If true, print throttled progress/ETA lines to stderr via
         :class:`repro.obs.progress.SweepProgress`.
@@ -278,43 +235,36 @@ def replicate(
         With ``store``: append to this call's existing completion
         journal instead of starting a fresh one.
     retries:
-        With ``store``: extra execution rounds for tasks that raised
-        before a structured
-        :class:`~repro.errors.SchedulerError` surfaces them.
+        Extra execution rounds for tasks that raised before a
+        structured :class:`~repro.errors.SchedulerError` surfaces them.
 
     Returns
     -------
     list[RunResult] in replication order.
     """
+    from repro.store.scheduler import run_tasks
+
     check_positive_int("replications", replications)
-    check_in("engine", engine, ("vector", "des"))
+    check_in("engine", engine, ENGINES)
     prof = obs_spans.profiler()
     begin = prof.begin if prof.enabled else None
     h = begin("runner.replicate", "runner") if begin is not None else None
     root = as_seed_sequence(seed)
     started = obs_provenance.start_clock() if manifest_dir is not None else None
-    children = root.spawn(replications)
-    tasks = [(policy, config, child, engine, alignment, None) for child in children]
-    disk_store = _open_store(store)
-    task_keys: list[str] | None = None
-    if disk_store is not None:
-        from repro.store.keys import task_key
-
-        h_keys = begin("store.keys", "store") if begin is not None else None
-        task_keys = [
-            task_key(policy, config, child, engine, alignment) for child in children
-        ]
-        if h_keys is not None:
-            h_keys.end(keys=len(task_keys))
-    resolved_block = _resolve_block_size(block_size, engine)
-    block_of = (
-        _block_assignment([0] * len(tasks), resolved_block)
-        if resolved_block > 1
-        else None
+    tasks = point_tasks(
+        policy, config, root, replications, engine=engine, alignment=alignment
     )
+    disk_store = _open_store(store)
     prog = obs_progress.SweepProgress(len(tasks), "replicate") if progress else None
-    results = _run_task_list(
-        tasks, task_keys, disk_store, resume, workers, retries, prog, block_of
+    results = run_tasks(
+        tasks,
+        task_keys(tasks) if disk_store is not None else None,
+        store=disk_store,
+        resume=resume,
+        workers=workers,
+        retries=retries,
+        progress=prog.update if prog is not None else None,
+        block_of=assign_blocks(tasks),
     )
     if manifest_dir is not None:
         obs_provenance.write_manifest(
@@ -349,7 +299,6 @@ def simulate_pb(
     manifest_dir: PathLike = None,
     store: StoreLike = None,
     resume: bool = False,
-    block_size: int | None = None,
 ) -> list[RunResult]:
     """Replicated probability-based broadcast — the paper's Sec. 5 unit.
 
@@ -368,7 +317,6 @@ def simulate_pb(
         manifest_dir=manifest_dir,
         store=store,
         resume=resume,
-        block_size=block_size,
     )
 
 
@@ -390,14 +338,15 @@ def sweep_grid(
     store: StoreLike = None,
     resume: bool = False,
     retries: int = 1,
-    block_size: int | None = None,
 ) -> dict[tuple[float, float], list[RunResult]]:
     """Replicated simulations over a full ``(rho, p)`` grid, one pool.
 
-    Every ``(rho, p, replication)`` task of the grid goes through a
-    single :func:`repro.utils.parallel.parallel_map` call, so one
-    process pool serves the whole sweep instead of paying executor
-    startup once per grid point.
+    Every ``(rho, p, replication)`` task of the grid goes through one
+    :func:`repro.store.scheduler.run_tasks` call, so one process pool
+    serves the whole sweep instead of paying executor startup once per
+    grid point.  Blocks never span grid points (each point has its own
+    policy and config), so a point of ``replications`` runs forms
+    ``ceil(replications / DEFAULT_BLOCK_SIZE)`` pool tasks.
 
     Parameters
     ----------
@@ -451,23 +400,19 @@ def sweep_grid(
         store either way, and a journaled task whose entry was evicted
         or corrupted is recomputed.
     retries:
-        With ``store``: extra execution rounds for tasks that raised
-        before a structured :class:`~repro.errors.SchedulerError`
-        surfaces them (completed siblings stay persisted).
-    block_size:
-        As in :func:`replicate`: replications advanced per engine
-        block.  Blocks never span grid points (each point has its own
-        policy and config), so a point's ``replications`` runs form
-        ``ceil(replications / block_size)`` pool tasks.  Store keys and
-        payloads stay per run, bit-identical for every block size.
+        Extra execution rounds for tasks that raised before a
+        structured :class:`~repro.errors.SchedulerError` surfaces them
+        (with ``store``, completed siblings stay persisted).
 
     Returns
     -------
     dict mapping ``(float(rho), float(p))`` to the point's
     ``list[RunResult]`` in replication order.
     """
+    from repro.store.scheduler import run_tasks
+
     check_positive_int("replications", replications)
-    check_in("engine", engine, ("vector", "des"))
+    check_in("engine", engine, ENGINES)
     rhos = [float(r) for r in rho_grid]
     ps = [float(p) for p in p_grid]
     if not rhos or not ps:
@@ -487,14 +432,10 @@ def sweep_grid(
     root = as_seed_sequence(seed)
     disk_store = _open_store(store)
     h_build = begin("sweep.build", "runner") if begin is not None else None
-    tasks = []
-    # Grid-point index per task: replication blocks may only form
-    # within one (rho, p) point, where policy and config are shared.
-    groups: list[int] = []
-
+    tasks: list[tuple] = []
     if reuse_deployments:
         rho_roots = root.spawn(len(rhos))
-        for ri, (cfg, rho_root) in enumerate(zip(configs, rho_roots, strict=True)):
+        for cfg, rho_root in zip(configs, rho_roots, strict=True):
             cells = []
             for cell in rho_root.spawn(replications):
                 # Separate streams for the deployment draw and the
@@ -509,47 +450,40 @@ def sweep_grid(
                     population=cfg.population,
                 )
                 cells.append((run_seed, deployment))
-            for pi, policy in enumerate(policies):
+            for policy in policies:
                 for run_seed, deployment in cells:
                     tasks.append(
                         (policy, cfg, run_seed, engine, alignment, deployment)
                     )
-                    groups.append(ri * len(ps) + pi)
     else:
         point_roots = None if point_seed is not None else root.spawn(len(rhos) * len(ps))
         for ri, cfg in enumerate(configs):
             for pi, policy in enumerate(policies):
                 if point_seed is not None:
-                    point_root = as_seed_sequence(point_seed(rhos[ri], pi))
+                    point_root = point_seed(rhos[ri], pi)
                 else:
                     point_root = point_roots[ri * len(ps) + pi]
-                for child in point_root.spawn(replications):
-                    tasks.append((policy, cfg, child, engine, alignment, None))
-                    groups.append(ri * len(ps) + pi)
+                tasks += point_tasks(
+                    policy,
+                    cfg,
+                    point_root,
+                    replications,
+                    engine=engine,
+                    alignment=alignment,
+                )
     if h_build is not None:
         h_build.end(tasks=len(tasks))
 
-    task_keys: list[str] | None = None
-    if disk_store is not None:
-        from repro.store.keys import task_key
-
-        h_keys = begin("store.keys", "store") if begin is not None else None
-        task_keys = [
-            task_key(
-                t[0], t[1], t[2], engine, alignment, reuse_deployment=t[5] is not None
-            )
-            for t in tasks
-        ]
-        if h_keys is not None:
-            h_keys.end(keys=len(task_keys))
-
-    resolved_block = _resolve_block_size(block_size, engine)
-    block_of = (
-        _block_assignment(groups, resolved_block) if resolved_block > 1 else None
-    )
     prog = obs_progress.SweepProgress(len(tasks), "sweep") if progress else None
-    results = _run_task_list(
-        tasks, task_keys, disk_store, resume, workers, retries, prog, block_of
+    results = run_tasks(
+        tasks,
+        task_keys(tasks) if disk_store is not None else None,
+        store=disk_store,
+        resume=resume,
+        workers=workers,
+        retries=retries,
+        progress=prog.update if prog is not None else None,
+        block_of=assign_blocks(tasks),
     )
 
     grid: dict[tuple[float, float], list[RunResult]] = {}

@@ -1,16 +1,16 @@
 """Crash-safe, cache-aware task scheduling for Monte-Carlo sweeps.
 
-:func:`run_tasks` is the store-backed execution path behind
-:func:`repro.sim.runner.replicate` and
-:func:`~repro.sim.runner.sweep_grid`.  For a list of independent tasks
-(each a pure function of its key), it:
+:func:`run_tasks` is the one execution path behind
+:func:`repro.sim.runner.replicate`, :func:`~repro.sim.runner.sweep_grid`
+and :mod:`repro.serve`, with or without a store.  For a list of
+independent tasks (each a pure function of its key), it:
 
-1. consults the :class:`~repro.store.backend.DiskStore` and serves
-   every hit without computing (corrupt entries are dropped, counted,
-   and recomputed — never served);
-2. executes only the misses through
-   :func:`repro.utils.parallel.parallel_map` with per-task error
-   capture, so one crashing task cannot discard its siblings' work;
+1. consults the :class:`~repro.store.backend.DiskStore`, when there is
+   one, and serves every hit without computing (corrupt entries are
+   dropped, counted, and recomputed — never served);
+2. executes only the misses, in replication blocks, through
+   :func:`repro.utils.parallel.parallel_map` with per-block error
+   capture, so one crashing block cannot discard its siblings' work;
 3. persists and journals each freshly computed task *as its chunk
    completes*, not at sweep end — a sweep killed at task 7,000 of
    10,000 leaves 7,000 results in the store and a journal recording
@@ -31,7 +31,6 @@ hoisted-guard convention of the engines.
 from __future__ import annotations
 
 import time
-from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.errors import SchedulerError, StoreCorruptionError
@@ -51,20 +50,17 @@ __all__ = ["run_tasks"]
 ProgressHook = Callable[[int, int, Sequence[Any]], None]
 
 
-def _run_indexed(
-    execute: Callable[[Any], RunResult], item: tuple[int, Any]
-) -> tuple[int, RunResult]:
-    """Worker wrapper: carry the task's input index across the pool."""
-    index, task = item
-    return index, execute(task)
+def _run_block(items: Sequence[tuple[int, Any]]) -> list[tuple[int, RunResult]]:
+    """Pool worker: run one block of ``(index, task)`` pairs.
 
+    A named top-level function, not a ``partial``: it pickles, and the
+    flow analysis follows it into the engines.  It looks
+    :func:`repro.sim.runner.execute_block` up when the block runs, so a
+    test can substitute the worker there.  Indices ride along.
+    """
+    from repro.sim.runner import execute_block
 
-def _run_indexed_block(
-    batch_execute: Callable[[Sequence[Any]], Sequence[RunResult]],
-    items: Sequence[tuple[int, Any]],
-) -> list[tuple[int, RunResult]]:
-    """Worker wrapper for one replication block: indices ride along."""
-    block_results = batch_execute([task for _, task in items])
+    block_results = execute_block([task for _, task in items])
     return [
         (index, result)
         for (index, _), result in zip(items, block_results, strict=True)
@@ -84,7 +80,7 @@ class _Recorder:
         self,
         store: StoreBackend | None,
         journal: SweepJournal | None,
-        keys: Sequence[str],
+        keys: Sequence[str] | None,
         total: int,
         done: int,
         progress: ProgressHook | None,
@@ -98,41 +94,36 @@ class _Recorder:
 
     def record(self, index: int, result: RunResult) -> None:
         self.done += 1
-        if self.store is not None:
-            nbytes = self.store.put(self.keys[index], [result])
-            tracer = obs_trace.get_tracer()
-            emit = tracer.emit if tracer.enabled else None
-            if emit is not None:
-                emit(StoreAccess("put", self.keys[index], 1, nbytes))
+        if self.store is None or self.keys is None:
+            return
+        key = self.keys[index]
+        nbytes = self.store.put(key, [result])
+        tracer = obs_trace.get_tracer()
+        emit = tracer.emit if tracer.enabled else None
+        if emit is not None:
+            emit(StoreAccess("put", key, 1, nbytes))
         if self.journal is not None:
-            self.journal.append(index, self.keys[index])
+            self.journal.append(index, key)
 
     def __call__(self, _done: int, _total: int, chunk: Sequence[Any]) -> None:
         fresh = []
         for item in chunk:
             if isinstance(item, TaskFailure):
                 continue
-            if isinstance(item, list):
-                # One replication block: a list of (index, result) pairs.
-                # Recording them individually keeps persistence, the
-                # journal, and the progress hook in run units, so
-                # batching never changes what lands in the store or
-                # what ``done/total`` mean.
-                for index, result in item:
-                    self.record(index, result)
-                    fresh.append(result)
-                continue
-            index, result = item
-            self.record(index, result)
-            fresh.append(result)
+            # One block: a list of (index, result) pairs.  Recording
+            # them one by one keeps persistence, the journal, and the
+            # progress hook in run units, so blocking never changes
+            # what lands in the store or what ``done/total`` mean.
+            for index, result in item:
+                self.record(index, result)
+                fresh.append(result)
         if self.progress is not None:
             self.progress(self.done, self.total, fresh)
 
 
 def run_tasks(
-    execute: Callable[[Any], RunResult],
     tasks: Sequence[Any],
-    keys: Sequence[str],
+    keys: Sequence[str] | None = None,
     *,
     store: StoreBackend | None = None,
     resume: bool = False,
@@ -140,32 +131,29 @@ def run_tasks(
     retries: int = 1,
     backoff: float = 0.05,
     progress: ProgressHook | None = None,
-    batch_execute: Callable[[Sequence[Any]], Sequence[RunResult]] | None = None,
     block_of: Sequence[int] | None = None,
 ) -> list[RunResult]:
-    """Execute ``tasks`` through the store, returning results in order.
+    """Execute ``tasks`` in blocks, through the store if any, in order.
 
     Parameters
     ----------
-    execute:
-        Picklable per-task worker (the runner's ``_execute``).
     tasks, keys:
-        Parallel sequences: ``keys[i]`` is the content-addressed key of
-        ``tasks[i]``.
-    batch_execute, block_of:
-        Optional replication-block dispatch: ``block_of[i]`` assigns
-        task ``i`` to a block, and the first execution round hands each
-        block of cache misses to ``batch_execute`` as one pool task
-        (blocks re-form over the misses, so a warm store shrinks blocks
-        instead of recomputing hits).  Keys, persistence, the journal,
-        and progress all stay per *task* — batching is an execution
-        strategy, never part of a task's identity.  Retry rounds fall
-        back to ``execute`` per task, isolating any member that fails.
+        Runner task tuples (:func:`repro.sim.runner.point_tasks`) and
+        their store keys, ``keys[i]`` for ``tasks[i]``; ``keys`` may be
+        ``None`` when there is no store.
+    block_of:
+        Block id per task (:func:`repro.sim.runner.assign_blocks`);
+        ``None`` makes every task a block of its own.  The first round
+        hands each block of cache misses to
+        :func:`repro.sim.runner.execute_block` as one pool task (blocks
+        re-form over the misses, so a warm store shrinks blocks instead
+        of recomputing hits); retry rounds run each failed task alone.
+        Keys, persistence, the journal, and progress all stay per
+        *task*: blocking is never part of a task's identity.
     store:
         The result store (a :class:`~repro.store.backend.DiskStore`,
-        bare or read-through); ``None`` degrades to plain
-        :func:`~repro.utils.parallel.parallel_map` semantics (still
-        with per-task capture and retry).
+        bare or read-through); ``None`` executes every task (still with
+        per-block capture and retry) and persists nothing.
     resume:
         Reuse this sweep's existing journal, appending to it, instead
         of starting a fresh one.  Correctness never depends on the
@@ -188,19 +176,23 @@ def run_tasks(
     Raises
     ------
     SchedulerError
-        If any task still fails after ``retries`` extra rounds.  All
-        successful tasks are already persisted and journaled.
+        If any task still fails after ``retries`` extra rounds.  With a
+        store, all successful tasks are already persisted and journaled.
     """
-    if len(tasks) != len(keys):
-        raise ValueError(f"{len(tasks)} tasks but {len(keys)} keys")
     n = len(tasks)
+    if keys is not None and len(keys) != n:
+        raise ValueError(f"{n} tasks but {len(keys)} keys")
+    if store is not None and keys is None:
+        raise ValueError("a store needs one key per task")
+    if block_of is not None and len(block_of) != n:
+        raise ValueError(f"{n} tasks but {len(block_of)} block assignments")
     results: list[RunResult | None] = [None] * n
 
     prof = obs_spans.profiler()
     begin = prof.begin if prof.enabled else None
 
     journal: SweepJournal | None = None
-    if store is not None:
+    if store is not None and keys is not None:
         h_journal = begin("store.journal", "store") if begin is not None else None
         journal = SweepJournal(
             store.journals_dir / f"{sweep_key(keys)}.jsonl",
@@ -220,7 +212,7 @@ def run_tasks(
     missing: list[tuple[int, Any]] = []
     hits = 0
     corrupt = 0
-    if store is not None:
+    if store is not None and keys is not None:
         h_lookup = begin("store.lookup", "store") if begin is not None else None
         for i, key in enumerate(keys):
             try:
@@ -253,10 +245,8 @@ def run_tasks(
         progress(hits, n, [r for r in results if r is not None][-1:])
 
     # ------------------------------------------------------------------
-    # phase 2: execute misses, persisting as chunks complete
+    # phase 2: execute misses in blocks, persisting as chunks complete
     # ------------------------------------------------------------------
-    if batch_execute is not None and block_of is not None and len(block_of) != n:
-        raise ValueError(f"{n} tasks but {len(block_of)} block assignments")
     recorder = _Recorder(store, journal, keys, n, hits, progress)
     pending = missing
     failures: list[TaskFailure] = []
@@ -271,62 +261,35 @@ def run_tasks(
             time.sleep(backoff * 2 ** (attempt - 1))
         h_exec = begin("store.execute", "store") if begin is not None else None
         n_round = len(pending)
-        if batch_execute is not None and block_of is not None and attempt == 0:
-            # Re-form blocks over the misses only: pending tasks with
-            # the same block id stay together as one pool task.
-            blocks: list[list[tuple[int, Any]]] = []
-            prev_bid: int | None = None
-            for item in pending:
-                bid = block_of[item[0]]
-                if not blocks or bid != prev_bid:
-                    blocks.append([])
-                    prev_bid = bid
+        # First round: pending tasks that share a block id form one
+        # block (over the misses only).  Retry rounds: blocks of one.
+        ids = block_of if attempt == 0 and block_of is not None else range(n)
+        blocks: list[list[tuple[int, Any]]] = []
+        for item in pending:
+            if blocks and ids[item[0]] == ids[blocks[-1][-1][0]]:
                 blocks[-1].append(item)
-            outcome = parallel_map(
-                partial(_run_indexed_block, batch_execute),
-                blocks,
-                workers=workers,
-                progress=recorder,
-                return_exceptions=True,
-            )
-            failures = []
-            retry_items: list[tuple[int, Any]] = []
-            for position, item in enumerate(outcome):
-                if isinstance(item, TaskFailure):
-                    # The whole block failed together; every member is
-                    # retried individually in the next round.
-                    for task_index, task in blocks[position]:
-                        failures.append(
-                            TaskFailure(task_index, item.error, item.traceback_str)
-                        )
-                        retry_items.append((task_index, task))
-                else:
-                    for index, result in item:
-                        results[index] = result
-            pending = retry_items
-            if h_exec is not None:
-                h_exec.end(attempt=attempt, tasks=n_round, failures=len(failures))
-            continue
+            else:
+                blocks.append([item])
         outcome = parallel_map(
-            partial(_run_indexed, execute),
-            pending,
+            _run_block,
+            blocks,
             workers=workers,
             progress=recorder,
             return_exceptions=True,
         )
         failures = []
-        retry_items = []
-        for position, item in enumerate(outcome):
-            if isinstance(item, TaskFailure):
-                task_index = pending[position][0]
-                failures.append(
-                    TaskFailure(task_index, item.error, item.traceback_str)
-                )
-                retry_items.append(pending[position])
+        pending = []
+        for block, ran in zip(blocks, outcome, strict=True):
+            if isinstance(ran, TaskFailure):
+                # The whole block failed together; every member is
+                # retried on its own in the next round.
+                failures += [
+                    TaskFailure(i, ran.error, ran.traceback_str) for i, _ in block
+                ]
+                pending += block
             else:
-                index, result = item
-                results[index] = result
-        pending = retry_items
+                for index, result in ran:
+                    results[index] = result
         if h_exec is not None:
             h_exec.end(attempt=attempt, tasks=n_round, failures=len(failures))
 
@@ -338,15 +301,23 @@ def run_tasks(
     if failures:
         shown = ", ".join(str(f.index) for f in failures[:10])
         more = "" if len(failures) <= 10 else f" (+{len(failures) - 10} more)"
+        resume_hint = (
+            " Completed tasks are persisted; re-run with resume=True to "
+            "retry only the failures."
+            if store is not None
+            else ""
+        )
         raise SchedulerError(
             f"{len(failures)}/{n} task(s) failed after {rounds} attempt"
             f"{'' if rounds == 1 else 's'} ({retries} retr"
             f"{'y' if retries == 1 else 'ies'}, backoff={backoff:g}s) "
             f"at indices [{shown}]{more}; "
-            f"first: {type(failures[0].error).__name__}: {failures[0].error}. "
-            "Completed tasks are persisted; re-run with resume=True to "
-            "retry only the failures.",
-            tuple((f.index, keys[f.index], f.error) for f in failures),
+            f"first: {type(failures[0].error).__name__}: {failures[0].error}."
+            + resume_hint,
+            tuple(
+                (f.index, None if keys is None else keys[f.index], f.error)
+                for f in failures
+            ),
             attempts=rounds,
         ) from failures[0].error
 

@@ -328,55 +328,3 @@ class TestOptimalPointParity:
                 np.asarray(after.series[name], dtype=float),
             )
         clear_caches()
-
-
-class TestBlockSize:
-    def test_scale_factories_accept_block_size(self):
-        assert ExperimentScale.quick(block_size=8).block_size == 8
-        assert ExperimentScale.full(block_size=16).block_size == 16
-        assert ExperimentScale.quick().block_size is None
-
-    def test_simulation_grid_threads_block_size(self, monkeypatch):
-        from repro.experiments import figures as figures_mod
-
-        captured = {}
-
-        def fake_sweep_grid(config, rhos, ps, replications, **kwargs):
-            captured.update(kwargs)
-            return {
-                (float(r), float(p)): [] for r in rhos for p in ps
-            }
-
-        monkeypatch.setattr(figures_mod, "sweep_grid", fake_sweep_grid)
-        scale = ExperimentScale(
-            name="tiny-bs",
-            rho_grid=(20,),
-            analysis_p_step=0.5,
-            sim_p_step=0.5,
-            replications=1,
-            seed=3,
-            workers=1,
-            block_size=4,
-        )
-        simulation_grid(scale, 20)
-        assert captured["block_size"] == 4
-        clear_caches()
-
-    def test_runall_block_size_flag(self, monkeypatch, capsys):
-        import repro.experiments.runall as runall_mod
-
-        seen = {}
-
-        class _Fake:
-            figure = "fig4a"
-
-            def to_text(self):
-                return "fake"
-
-        def fake_generate(name, scale):
-            seen["block_size"] = scale.block_size
-            return _Fake()
-
-        monkeypatch.setattr(runall_mod, "generate_figure", fake_generate)
-        assert runall_mod.main(["--figures", "fig4a", "--block-size", "8"]) == 0
-        assert seen["block_size"] == 8

@@ -37,13 +37,6 @@ class TestInstrumentation:
         assert loop.parent_id == run.span_id
         assert 0.0 <= loop.dur <= run.dur
 
-    def test_runner_task_timer(self, small_sim_config):
-        from repro.sim.runner import replicate
-
-        with capture_spans() as buf:
-            replicate(ProbabilisticRelay(0.5), small_sim_config, 2, 7, block_size=0)
-        assert len(buf.named("runner.task")) == 2
-
     def test_runner_block_timer(self, small_sim_config):
         """The default dispatch batches replications: one block span,
         run counting via the engine's ``reps``."""

@@ -64,6 +64,14 @@ class TestParseRequest:
             parse_request({"kind": "bound", "rho": -1.0, "p": 0.5, "seed": 1})
         with pytest.raises(ConfigurationError, match="unknown request kind"):
             parse_request({"kind": "best", "rho": 20.0, "p": 0.5, "seed": 1})
+        with pytest.raises(ConfigurationError, match="engine='foo' is invalid"):
+            parse_request(
+                {"kind": "bound", "rho": 20.0, "p": 0.5, "seed": 1, "engine": "foo"}
+            )
+        with pytest.raises(ConfigurationError, match="alignment='slot' is invalid"):
+            parse_request(
+                {"kind": "bound", "rho": 20.0, "p": 0.5, "seed": 1, "alignment": "slot"}
+            )
 
     def test_request_key_stable_and_seed_sensitive(self):
         doc = {"kind": "bound", "rho": 20.0, "p": 0.5, "seed": 1}

@@ -1,5 +1,7 @@
 """Read-through memory tier: LRU bounds, bit-identity, counters."""
 
+import threading
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,54 @@ class TestMemoryTier:
         stats = tier.stats()
         assert stats["entries"] == 1
         assert stats["max_entries"] == 3
+
+    def test_eviction_cannot_split_a_get(self):
+        """One thread's ``get`` pauses between its lookup and its LRU
+        move while another thread's ``put`` would evict the key.  The
+        tier's lock holds the ``put`` back until the ``get`` is done;
+        without it the ``get`` would raise ``KeyError('a')``."""
+
+        class PausingDict(OrderedDict):
+            def __init__(self) -> None:
+                super().__init__()
+                self.pause = False
+                self.paused = threading.Event()
+                self.resume = threading.Event()
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if self.pause:
+                    self.paused.set()
+                    self.resume.wait(0.5)
+                return value
+
+        tier = MemoryTier(max_entries=1)
+        entries = PausingDict()
+        tier._entries = entries
+        tier.put("a", 1)
+        entries.pause = True
+        got, errors = [], []
+
+        def read() -> None:
+            try:
+                got.append(tier.get("a"))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        assert entries.paused.wait(5)
+        writer = threading.Thread(target=tier.put, args=("b", 2))
+        writer.start()
+        writer.join(0.2)  # an unlocked put evicts "a" in this window
+        entries.resume.set()
+        reader.join(5)
+        writer.join(5)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert errors == []
+        assert got == [1]
+        assert "b" in tier and "a" not in tier
+        assert tier.stats()["evictions"] == 1
 
 
 class TestReadThroughStore:

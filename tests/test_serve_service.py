@@ -288,7 +288,7 @@ class TestComputeBlocks:
         executing every task alone."""
         from repro.obs import spans
         from repro.serve.compute import plan_tasks
-        from repro.sim.runner import _execute
+        from repro.sim.runner import execute_block
         from tests.test_obs_neutrality import assert_identical
 
         plans = [
@@ -302,6 +302,10 @@ class TestComputeBlocks:
             results = execute_tasks(tasks, keys, DiskStore(tmp_path / "store"))
         blocks = [s.counters["reps"] for s in buf.named("engine.run_batch")]
         assert blocks == [2.0, 2.0, 3.0]
-        assert len(buf.named("runner.task")) == BOUND["replications"]
+        # OBJECTIVE (2 ps x 2 reps), the DES bound request (3 blocks of
+        # one), the vector bound request (one block of 3).
+        blocks = [s.counters["reps"] for s in buf.named("runner.block")]
+        assert blocks == [2.0, 2.0, 1.0, 1.0, 1.0, 3.0]
         for task, result in zip(tasks, results, strict=True):
-            assert_identical(result, _execute(task))
+            (alone,) = execute_block([task])
+            assert_identical(result, alone)

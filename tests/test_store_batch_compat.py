@@ -3,8 +3,9 @@
 Batching is an execution strategy, never part of a task's identity:
 a replication's store key and persisted payload must be the same
 whether it ran inside a :func:`repro.sim.engine.run_broadcast_batch`
-block or through :func:`repro.sim.engine.run_broadcast`.  Caches
-warmed by one path must serve the other verbatim.
+block or as a block of one (:func:`repro.sim.engine.run_broadcast`,
+or the scheduler without block ids).  Caches warmed by one path must
+serve the other verbatim.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from repro.obs.spans import capture_spans
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import run_broadcast, run_broadcast_batch
-from repro.sim.runner import replicate, sweep_grid
-from repro.store import DiskStore
+from repro.sim.runner import point_tasks, replicate, sweep_grid, task_keys
+from repro.store import DiskStore, run_tasks
 from repro.store.backend import pack_result
 from repro.store.keys import task_key
 from repro.utils.rng import as_seed_sequence
@@ -51,6 +52,11 @@ def store_hits(buf) -> float:
     return sum(s.counters["hits"] for s in buf.named("store.lookup"))
 
 
+def run_per_task(tasks, store):
+    """Every task a block of one through the scheduler (no block ids)."""
+    return run_tasks(tasks, task_keys(tasks), store=DiskStore(store))
+
+
 class TestKeyIdentity:
     def test_task_key_has_no_batch_component(self, cfg):
         """Each replication's key depends on (policy, config, seed,
@@ -66,8 +72,8 @@ class TestKeyIdentity:
 
     def test_batched_and_per_run_store_same_keys(self, cfg, tmp_path):
         policy = ProbabilisticRelay(0.5)
-        replicate(policy, cfg, 3, seed=9, store=tmp_path / "a", block_size=3)
-        replicate(policy, cfg, 3, seed=9, store=tmp_path / "b", block_size=0)
+        replicate(policy, cfg, 3, seed=9, store=tmp_path / "a")
+        run_per_task(point_tasks(policy, cfg, 9, 3), tmp_path / "b")
         keys_a = sorted(DiskStore(tmp_path / "a").keys())
         keys_b = sorted(DiskStore(tmp_path / "b").keys())
         assert keys_a == keys_b
@@ -89,11 +95,9 @@ class TestPayloadIdentity:
 class TestCrossPathCache:
     def test_cold_batched_serves_warm_per_run(self, cfg, tmp_path):
         policy = ProbabilisticRelay(0.5)
-        cold = replicate(policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=4)
+        cold = replicate(policy, cfg, 4, seed=9, store=tmp_path / "s")
         with capture_spans() as buf:
-            warm = replicate(
-                policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=0
-            )
+            warm = run_per_task(point_tasks(policy, cfg, 9, 4), tmp_path / "s")
         assert_runs_identical(cold, warm)
         # The warm pass was all hits: nothing ran in the engine.
         assert store_hits(buf) == 4
@@ -101,11 +105,9 @@ class TestCrossPathCache:
 
     def test_cold_per_run_serves_warm_batched(self, cfg, tmp_path):
         policy = ProbabilisticRelay(0.5)
-        cold = replicate(policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=0)
+        cold = run_per_task(point_tasks(policy, cfg, 9, 4), tmp_path / "s")
         with capture_spans() as buf:
-            warm = replicate(
-                policy, cfg, 4, seed=9, store=tmp_path / "s", block_size=4
-            )
+            warm = replicate(policy, cfg, 4, seed=9, store=tmp_path / "s")
         assert_runs_identical(cold, warm)
         assert store_hits(buf) == 4
         assert not buf.named("engine.run_batch")
@@ -113,41 +115,29 @@ class TestCrossPathCache:
     def test_partial_warm_blocks_reform_over_misses(self, cfg, tmp_path):
         """Warm a prefix per-run, then run the full set batched: the
         scheduler serves the hits from disk and re-forms blocks over
-        the misses, with results identical to storeless execution."""
+        the misses, with results identical to each seed run alone."""
         policy = ProbabilisticRelay(0.5)
-        replicate(policy, cfg, 2, seed=9, store=tmp_path / "s", block_size=0)
+        run_per_task(point_tasks(policy, cfg, 9, 2), tmp_path / "s")
         with capture_spans() as buf:
-            full = replicate(
-                policy, cfg, 6, seed=9, store=tmp_path / "s", block_size=3
-            )
-        off = replicate(policy, cfg, 6, seed=9, block_size=0)
-        assert_runs_identical(full, off)
+            full = replicate(policy, cfg, 6, seed=9, store=tmp_path / "s")
+        alone = [run_broadcast(policy, cfg, c) for c in as_seed_sequence(9).spawn(6)]
+        assert_runs_identical(full, alone)
         assert store_hits(buf) == 2
-        # Block [0, 1, 2] keeps only its miss; block [3, 4, 5] runs whole.
-        assert [s.counters["reps"] for s in buf.named("runner.block")] == [1, 3]
+        # Block [0..5] keeps only its four misses, which run as one block.
+        assert [s.counters["reps"] for s in buf.named("runner.block")] == [4]
 
     def test_sweep_grid_cross_path(self, cfg, tmp_path):
-        cold = sweep_grid(
-            cfg,
-            [15.0],
-            [0.4, 0.8],
-            3,
-            seed=5,
-            store=tmp_path / "s",
-            block_size=3,
-        )
+        """A sweep's points, run per task, serve the batched sweep."""
+        points = as_seed_sequence(5).spawn(2)
+        point_cfg = cfg.with_rho(15.0)  # the config sweep_grid builds
+        tasks = [
+            task
+            for root, p in zip(points, [0.4, 0.8], strict=True)
+            for task in point_tasks(ProbabilisticRelay(p), point_cfg, root, 3)
+        ]
+        cold = run_per_task(tasks, tmp_path / "s")
         with capture_spans() as buf:
-            warm = sweep_grid(
-                cfg,
-                [15.0],
-                [0.4, 0.8],
-                3,
-                seed=5,
-                store=tmp_path / "s",
-                block_size=0,
-            )
-        assert cold.keys() == warm.keys()
-        for point in cold:
-            assert_runs_identical(cold[point], warm[point])
+            warm = sweep_grid(cfg, [15.0], [0.4, 0.8], 3, seed=5, store=tmp_path / "s")
+        assert_runs_identical(cold, warm[(15.0, 0.4)] + warm[(15.0, 0.8)])
         assert store_hits(buf) == 6
         assert not buf.named("engine.run_batch")

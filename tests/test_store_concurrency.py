@@ -7,24 +7,15 @@ from repro.analysis.config import AnalysisConfig
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.serve import ReadThroughStore
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import _execute
-from repro.store import (
-    DiskStore,
-    open_store,
-    run_tasks,
-    task_key,
-)
-from repro.utils.rng import as_seed_sequence
+from repro.sim.runner import execute_block, point_tasks, task_keys
+from repro.store import DiskStore, open_store, run_tasks
 
 CFG = SimulationConfig(analysis=AnalysisConfig(n_rings=3, rho=15))
 
 
 def _make_tasks(p: float, seed: int, n: int):
-    policy = ProbabilisticRelay(p)
-    children = as_seed_sequence(seed).spawn(n)
-    tasks = [(policy, CFG, child, "vector", "phase", None) for child in children]
-    keys = [task_key(policy, CFG, child, "vector", "phase") for child in children]
-    return tasks, keys
+    tasks = point_tasks(ProbabilisticRelay(p), CFG, seed, n)
+    return tasks, task_keys(tasks)
 
 
 def _writer(root, specs, barrier):
@@ -35,7 +26,7 @@ def _writer(root, specs, barrier):
         tasks.extend(t)
         keys.extend(k)
     barrier.wait()  # maximise interleaving: both writers start together
-    run_tasks(_execute, tasks, keys, store=store)
+    run_tasks(tasks, keys, store=store)
     store.flush_index()
 
 
@@ -95,7 +86,7 @@ class TestConcurrentWriters:
         tasks, keys = _make_tasks(0.5, 7, 6)
         for task, key in zip(tasks, keys):
             (stored,) = store.get(key)
-            fresh = _execute(task)
+            (fresh,) = execute_block([task])
             assert stored.seed_entropy == fresh.seed_entropy
             assert (
                 stored.new_informed_by_slot.tolist()
@@ -110,7 +101,7 @@ class TestClassicLayoutRacingPuts:
         root = tmp_path / "s"
         assert isinstance(open_store(root), DiskStore)
         tasks, keys = _make_tasks(0.5, 7, 1)
-        results = [_execute(tasks[0])]
+        results = execute_block(tasks[:1])
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(2)
         procs = [
@@ -146,7 +137,7 @@ class TestExecutorThreads:
             try:
                 barrier.wait()
                 for _ in range(20):
-                    run_tasks(_execute, tasks, keys, store=store)
+                    run_tasks(tasks, keys, store=store)
             except Exception as exc:  # surfaced by the assert below
                 errors.append(exc)
 
