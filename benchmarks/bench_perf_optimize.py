@@ -49,7 +49,10 @@ _DENSE_MEMO: dict[str, float] = {}
 
 
 def _dense_best_p() -> float:
-    """Brute force: simulate every rung, pick the best aggregate."""
+    """Brute force: simulate every rung, pick the best aggregate.
+
+    In-process (``workers=1``), like the search it is compared with.
+    """
     root = as_seed_sequence(SEED)
     grid = sweep_grid(
         CFG,
@@ -58,6 +61,7 @@ def _dense_best_p() -> float:
         REPLICATIONS,
         seed=root,
         point_seed=lambda _rho, i: candidate_seed(root, i),
+        workers=1,
     )
     query = OptimizeQuery(bounds=BOUNDS, objectives=OBJECTIVES)
     best = None

@@ -13,9 +13,14 @@ writes into ``--out``:
 
 The script asserts the acceptance bar before exiting: the recorded
 span tree must account for >=90% of the measured wall time, with store,
-engine, runner and (cold) network phases attributed.  CI runs this and uploads
-``trace.json`` as a workflow artifact, so every build leaves behind an
-openable picture of where the sweep's seconds went.
+engine, runner and (cold) network phases attributed.  The tree must
+also be whole: span ids unique, every parent link resolving, and (cold)
+one ``runner.block`` per block, from at least two worker processes when
+two or more CPUs are usable (the sweep's 10 blocks run in a pool by
+default, and the workers' spans travel home with their results).  CI
+runs this and uploads ``trace.json`` as a workflow artifact, so every
+build leaves behind an openable picture of where the sweep's seconds
+went.
 
 Pass ``--warm`` to profile a warm-cache replay instead (the store is
 populated unprofiled first) — the comparison walkthrough lives in
@@ -36,11 +41,12 @@ from repro.obs import spans as obs_spans
 from repro.obs.export import SpanJsonlSink, read_spans_jsonl, write_chrome_trace
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import sweep_grid
+from repro.utils.parallel import default_workers
 
 CFG = SimulationConfig(analysis=AnalysisConfig(n_rings=4, rho=40))
 RHOS = (30, 40)
 PS = (0.1, 0.3, 0.5, 0.7, 0.9)
-REPLICATIONS = 20  # 2 x 5 x 20 = 200 tasks
+REPLICATIONS = 20  # 2 x 5 x 20 = 200 tasks, one block per point
 SEED = 20050113
 
 
@@ -52,6 +58,7 @@ def profile_sweep(out: Path, store: Path, *, warm: bool = False) -> int:
         sweep_grid(CFG, RHOS, PS, REPLICATIONS, seed=SEED, store=store)
 
     spans_path = out / "spans.jsonl"
+    spans_path.unlink(missing_ok=True)  # the sink appends; start a rerun afresh
     label = "warm" if warm else "cold"
     print(f"profiling {label} 200-task sweep...", flush=True)
     t0 = time.perf_counter()
@@ -94,6 +101,23 @@ def profile_sweep(out: Path, store: Path, *, warm: bool = False) -> int:
     if not required <= cats:
         print(f"FAIL: missing span categories {sorted(required - cats)}")
         ok = False
+    ids = {s.span_id for s in recorded}
+    if len(ids) != len(recorded):
+        print(f"FAIL: {len(recorded) - len(ids)} duplicated span ids")
+        ok = False
+    dangling = [s for s in recorded if s.parent_id is not None and s.parent_id not in ids]
+    if dangling:
+        print(f"FAIL: {len(dangling)} spans link to a parent that is not in the trace")
+        ok = False
+    if not warm:
+        blocks = [s for s in recorded if s.name == "runner.block"]
+        if len(blocks) != len(RHOS) * len(PS):
+            print(f"FAIL: {len(blocks)} runner.block spans for {len(RHOS) * len(PS)} blocks")
+            ok = False
+        pids = {s.pid for s in blocks}
+        if default_workers() >= 2 and len(pids) < 2:
+            print(f"FAIL: blocks ran in {len(pids)} process(es) with {default_workers()} usable CPUs")
+            ok = False
     return 0 if ok else 1
 
 

@@ -36,7 +36,6 @@ class Simulator:
         self._heap: list[Event] = []
         self._seq = 0
         self._running = False
-        self._executed = 0
 
     # ------------------------------------------------------------------
     @property
@@ -48,11 +47,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of scheduled (possibly cancelled) events."""
         return len(self._heap)
-
-    @property
-    def events_executed(self) -> int:
-        """Total callbacks executed so far (cancelled events excluded)."""
-        return self._executed
 
     # ------------------------------------------------------------------
     def schedule(
@@ -101,7 +95,6 @@ class Simulator:
             if event.time < self._now:  # pragma: no cover - heap invariant
                 raise SimulationError("event heap returned a past event")
             self._now = event.time
-            self._executed += 1
             event.callback(*event.args)
             return True
         return False

@@ -15,7 +15,6 @@ __all__ = [
     "SimulationError",
     "ProtocolError",
     "InfeasibleConstraintError",
-    "ParallelExecutionError",
     "StoreError",
     "StoreCorruptionError",
     "SchedulerError",
@@ -54,24 +53,6 @@ class InfeasibleConstraintError(ModelError):
     broadcast probability can ever deliver (paper Sec. 4.2.4: for some
     ``(p, rho)`` combinations 72% reachability is unattainable).
     """
-
-
-class ParallelExecutionError(ReproError):
-    """One or more tasks of a :func:`repro.utils.parallel.parallel_map`
-    call raised.
-
-    Unlike a raw worker exception, this error reports *which* task
-    indices failed while every sibling task still ran to completion.
-    ``failures`` holds the per-task
-    :class:`~repro.utils.parallel.TaskFailure` records (input index,
-    exception, formatted traceback); ``__cause__`` is the first failing
-    task's exception.
-    """
-
-    def __init__(self, message: str, failures: tuple = ()) -> None:
-        super().__init__(message)
-        #: tuple of :class:`repro.utils.parallel.TaskFailure`
-        self.failures = tuple(failures)
 
 
 class StoreError(ReproError):

@@ -59,8 +59,8 @@ class ExperimentScale:
     seed:
         Root seed for all simulation figures at this scale.
     workers:
-        Process count for replication (``1`` = serial, ``None`` = all
-        cores but one).
+        Process count for simulated sweeps (``None`` = every usable
+        CPU, the default; ``1`` = in-process).
     progress:
         If true, simulated sweeps print throttled progress/ETA lines to
         stderr (see :mod:`repro.obs.progress`).  Deliberately *not* part
@@ -83,7 +83,7 @@ class ExperimentScale:
     sim_p_step: float
     replications: int
     seed: int = 20050113  # the paper's preprint date
-    workers: int | None = 1
+    workers: int | None = None
     progress: bool = False
     store: str | None = None
     resume: bool = False

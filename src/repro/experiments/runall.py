@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="processes for simulation replication (default: cores-1)",
+        help="processes for simulated sweeps (default: every usable CPU)",
     )
     parser.add_argument(
         "--markdown", action="store_true", help="emit markdown sections"

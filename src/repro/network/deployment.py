@@ -132,11 +132,6 @@ class DiskDeployment:
         partition = RingPartition(self.n_rings, self.radius)
         return np.asarray(partition.ring_of(self.radial_distances))
 
-    def empirical_rho(self, topology: Topology | None = None) -> float:
-        """Measured mean degree (sanity check against the target ``rho``)."""
-        topo = topology or self.topology()
-        return topo.mean_degree
-
     def topology(self, *, carrier_radius: float | None = None) -> Topology:
         """Build the unit-disk communication graph for this deployment."""
         return Topology(self.positions, self.radius, carrier_radius=carrier_radius)

@@ -31,8 +31,14 @@ Design constraints, mirroring the tracer:
    nest under the span open where they were created); every emitted
    :class:`SpanEvent` carries ``pid``/``tid``, so merged traces from
    several threads (or JSONL files from several processes) stay
-   attributable.  Like trace sinks, span sinks are *not* inherited by
-   pool workers — profile with ``workers=1`` (the default everywhere).
+   attributable.  A pooled sweep is traced whole: a pool worker never
+   writes into the sinks it inherited through fork; it captures its
+   block's spans and sends them home with the block's results, and the
+   parent re-emits them through :meth:`SpanProfiler.adopt` (fresh ids,
+   parent links intact, the block under the round's ``store.execute``,
+   the worker's ``pid``/``tid`` kept).  A worker's spans arrive when
+   its block completes, so a pooled trace's sinks see blocks in
+   completion order (the Chrome export sorts by start time).
 3. **Emit-on-close.**  A span is delivered to the sinks when it ends,
    so a region that raises simply never reports (and any still-open
    children are discarded from the stack, keeping later parent links
@@ -54,8 +60,8 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, ParamSpec, Protocol, TypeVar
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, ParamSpec, Protocol, Sequence, TypeVar
 
 __all__ = [
     "SpanEvent",
@@ -93,7 +99,9 @@ class SpanEvent:
         Wall seconds the region took.
     span_id, parent_id:
         Process-unique id and the id of the enclosing span on the same
-        thread (``None`` for roots).
+        thread (``None`` for roots); a span adopted from a pool worker
+        (:meth:`SpanProfiler.adopt`) nests under the adopting thread's
+        open span.
     pid, tid:
         Operating-system process id and Python thread id.
     counters:
@@ -195,7 +203,8 @@ class SpanProfiler:
         self._stack: ContextVar[tuple[Span, ...]] = ContextVar(
             "repro_open_spans", default=()
         )
-        self._epoch = time.perf_counter()
+        #: The ``perf_counter`` origin of every span's ``start``.
+        self.epoch = time.perf_counter()
 
     # ------------------------------------------------------------------
     # sink management (mirrors the tracer)
@@ -249,7 +258,7 @@ class SpanProfiler:
         event = SpanEvent(
             name=handle.name,
             cat=handle.cat,
-            start=handle._t0 - self._epoch,
+            start=handle._t0 - self.epoch,
             dur=dur,
             span_id=handle.span_id,
             parent_id=handle.parent_id,
@@ -260,6 +269,37 @@ class SpanProfiler:
         for sink in self._sinks:
             sink.emit(event)
         return event
+
+    def adopt(self, spans: Sequence[SpanEvent], epoch: float) -> None:
+        """Emit spans another process recorded, as if opened here.
+
+        ``spans`` are one capture in close order (a pool worker's
+        block), timed from ``epoch``, that process's :attr:`epoch`.
+        Each span gets a fresh id from this profiler and keeps its
+        links within the capture; a span whose parent is not in the
+        capture (the block's ``runner.block``) is parented under this
+        context's innermost open span.  Start times move onto this
+        profiler's clock: ``perf_counter`` is one monotonic clock for
+        every process of a host.  ``pid``/``tid`` stay the recording
+        process's, so a Chrome trace shows one lane per worker.
+        """
+        with self._lock:
+            first = self._next_id
+            self._next_id += len(spans)
+        ids = {s.span_id: first + k for k, s in enumerate(spans)}
+        stack = self._stack.get()
+        outer = stack[-1].span_id if stack else None
+        shift = epoch - self.epoch
+        for s in spans:
+            parent = s.parent_id
+            event = replace(
+                s,
+                span_id=ids[s.span_id],
+                parent_id=outer if parent is None else ids.get(parent, outer),
+                start=s.start + shift,
+            )
+            for sink in self._sinks:
+                sink.emit(event)
 
 
 _PROFILER = SpanProfiler()

@@ -12,10 +12,13 @@ Design constraints, in order:
 3. **Dumb sinks.**  A sink is anything with an ``emit(event)`` method;
    the tracer fans out to every attached sink in attachment order.
 
-The tracer is process-global: worker processes of a pool start with an
-empty sink list (sinks are deliberately not pickled with tasks), so
-tracing a pooled sweep means tracing in the workers' initializer or
-running ``workers=1``.
+The tracer is process-global.  A pooled sweep is traced whole anyway:
+a pool worker of :func:`repro.store.scheduler.run_tasks` never writes
+into the sinks it inherited through fork; it captures its block's
+events and sends them home with the block's results, and the parent
+emits them, each block's runs contiguous and in replication order.
+Blocks reach the sinks in completion order, where an in-process run
+(``workers=1``) keeps task order.
 """
 
 from __future__ import annotations

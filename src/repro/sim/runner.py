@@ -193,7 +193,7 @@ def replicate(
     *,
     engine: str = "vector",
     alignment: str = "phase",
-    workers: int | None = 1,
+    workers: int | None = None,
     progress: bool = False,
     manifest_dir: PathLike = None,
     store: StoreLike = None,
@@ -216,9 +216,13 @@ def replicate(
     alignment:
         Slot alignment mode, DES engine only (``"phase"``/``"jitter"``).
     workers:
-        Process count for :func:`repro.utils.parallel.parallel_map`;
-        ``1`` (default) runs serially, ``None`` uses all cores but one.
-        A pool task is one replication block (see :func:`assign_blocks`).
+        Process count for the scheduler's pool: ``None`` (default) uses
+        every usable CPU (:func:`repro.utils.parallel.default_workers`),
+        ``1`` runs in-process.  A pool task is one replication block
+        (see :func:`assign_blocks`); fewer than 4 blocks, or a single
+        usable CPU, run in-process anyway.  A pooled run is traced as
+        whole as a serial one, but its blocks reach the sinks in
+        completion order (see :mod:`repro.store.scheduler`).
     progress:
         If true, print throttled progress/ETA lines to stderr via
         :class:`repro.obs.progress.SweepProgress`.
@@ -294,7 +298,7 @@ def simulate_pb(
     *,
     engine: str = "vector",
     alignment: str = "phase",
-    workers: int | None = 1,
+    workers: int | None = None,
     progress: bool = False,
     manifest_dir: PathLike = None,
     store: StoreLike = None,
@@ -330,7 +334,7 @@ def sweep_grid(
     policy_factory: Callable[[float], RelayPolicy] = ProbabilisticRelay,
     engine: str = "vector",
     alignment: str = "phase",
-    workers: int | None = 1,
+    workers: int | None = None,
     reuse_deployments: bool = False,
     point_seed: Callable[[float, int], SeedLike] | None = None,
     progress: bool = False,

@@ -25,23 +25,32 @@ round's ``store.execute`` with its ``attempt``, ``tasks`` and
 ``failures`` (the backend's ``store.put`` spans carry ``nbytes``); with
 a tracer attached, each store operation emits a
 :class:`~repro.obs.events.StoreAccess` event.  Both follow the
-hoisted-guard convention of the engines.
+hoisted-guard convention of the engines.  A pooled round is traced as
+whole as a serial one: each pool worker captures its block's spans and
+slot events (only what the parent records) and sends them home with
+the block's results; the parent re-emits them, block by block, before
+persisting the block.  Its ``runner.block`` spans nest under the
+round's ``store.execute``, and each block's slot events stay contiguous
+and in replication order.  Blocks arrive in completion order, where a
+serial run emits them in task order.
 """
 
 from __future__ import annotations
 
+import contextvars
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.errors import SchedulerError, StoreCorruptionError
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
-from repro.obs.events import StoreAccess
+from repro.obs.events import StoreAccess, TraceEvent
+from repro.obs.spans import SpanEvent
 from repro.sim.results import RunResult
 from repro.store.backend import StoreBackend
 from repro.store.journal import SweepJournal
 from repro.store.keys import sweep_key
-from repro.utils.parallel import TaskFailure, parallel_map
+from repro.utils.parallel import TaskFailure, parallel_map, pool_size
 
 __all__ = ["run_tasks"]
 
@@ -50,21 +59,83 @@ __all__ = ["run_tasks"]
 ProgressHook = Callable[[int, int, Sequence[Any]], None]
 
 
-def _run_block(items: Sequence[tuple[int, Any]]) -> list[tuple[int, RunResult]]:
+class _Block(NamedTuple):
+    """One pool task: a block of ``(index, task)`` pairs, and flags.
+
+    The flags travel with the block instead of being read from the
+    state a forked worker inherits, so a spawn-started pool captures
+    the same.
+    """
+
+    pooled: bool  #: the block runs in a pool worker, not in the parent
+    spans: bool  #: the parent records spans
+    events: bool  #: the parent records slot events
+    items: list[tuple[int, Any]]
+
+
+class _Ran(NamedTuple):
+    """A block's ``(index, result)`` pairs, plus a pool worker's telemetry."""
+
+    pairs: list[tuple[int, RunResult]]
+    spans: Sequence[SpanEvent] = ()
+    epoch: float = 0.0  #: the worker profiler's clock origin for ``spans``
+    events: Sequence[TraceEvent] = ()
+
+
+def _run_block(block: _Block) -> _Ran:
     """Pool worker: run one block of ``(index, task)`` pairs.
 
     A named top-level function, not a ``partial``: it pickles, and the
     flow analysis follows it into the engines.  It looks
     :func:`repro.sim.runner.execute_block` up when the block runs, so a
-    test can substitute the worker there.  Indices ride along.
+    test can substitute the worker there.  Indices ride along.  In the
+    parent (the serial path) the block emits into the parent's sinks as
+    it runs; in a pool worker, :func:`_capture` runs it.
     """
     from repro.sim.runner import execute_block
 
-    block_results = execute_block([task for _, task in items])
-    return [
-        (index, result)
-        for (index, _), result in zip(items, block_results, strict=True)
-    ]
+    if block.pooled:
+        return _capture(block)
+    results = execute_block([task for _, task in block.items])
+    return _Ran(
+        [(index, result) for (index, _), result in zip(block.items, results, strict=True)]
+    )
+
+
+def _capture(block: _Block) -> _Ran:
+    """Run a block in a pool worker, capturing what the parent records.
+
+    Fork copied the parent's sinks, whose file handles and span ids
+    are the parent's, and its open-span stack, whose ``store.execute``
+    is not this block's parent.  The sinks are set aside while the
+    block runs as if in the parent, in an empty context, and put back
+    after it: dropped, a file sink would be collected here, and closing
+    its copy of the parent's file object would write the parent's
+    buffered lines into the parent's file a second time.
+    """
+    prof = obs_spans.profiler()
+    tracer = obs_trace.get_tracer()
+    span_sinks, event_sinks = prof.sinks, tracer.sinks
+    for span_sink in span_sinks:
+        prof.detach(span_sink)
+    for event_sink in event_sinks:
+        tracer.detach(event_sink)
+    spans = obs_spans.SpanBuffer()
+    events = obs_trace.RingBufferSink()
+    if block.spans:
+        prof.attach(spans)
+    if block.events:
+        tracer.attach(events)
+    try:
+        ran = contextvars.Context().run(_run_block, block._replace(pooled=False))
+    finally:
+        prof.detach(spans)
+        tracer.detach(events)
+        for span_sink in span_sinks:
+            prof.attach(span_sink)
+        for event_sink in event_sinks:
+            tracer.attach(event_sink)
+    return ran._replace(spans=spans.spans, epoch=prof.epoch, events=events.events)
 
 
 class _Recorder:
@@ -73,7 +144,8 @@ class _Recorder:
     Runs inside ``parallel_map``'s progress callback, i.e. in the
     parent process as each chunk finishes — that is what makes the
     sweep crash-safe with a process pool (workers only compute; all
-    store writes happen here, in completion order).
+    store writes happen here, in completion order).  It also re-emits
+    the spans and slot events a pool worker sent home with its block.
     """
 
     def __init__(
@@ -107,14 +179,23 @@ class _Recorder:
 
     def __call__(self, _done: int, _total: int, chunk: Sequence[Any]) -> None:
         fresh = []
-        for item in chunk:
-            if isinstance(item, TaskFailure):
+        for ran in chunk:
+            if isinstance(ran, TaskFailure):
                 continue
-            # One block: a list of (index, result) pairs.  Recording
-            # them one by one keeps persistence, the journal, and the
-            # progress hook in run units, so blocking never changes
-            # what lands in the store or what ``done/total`` mean.
-            for index, result in item:
+            # A pool worker's telemetry, re-emitted before the block's
+            # store writes, as a serial run emits it.
+            if ran.spans:
+                obs_spans.profiler().adopt(ran.spans, ran.epoch)
+            tracer = obs_trace.get_tracer()
+            emit = tracer.emit if tracer.enabled else None
+            if emit is not None:
+                for event in ran.events:
+                    emit(event)
+            # Recording the block's results one by one keeps
+            # persistence, the journal, and the progress hook in run
+            # units, so blocking never changes what lands in the store
+            # or what ``done/total`` mean.
+            for index, result in ran.pairs:
                 self.record(index, result)
                 fresh.append(result)
         if self.progress is not None:
@@ -160,9 +241,12 @@ def run_tasks(
         flag — hits come from the store either way; a journaled task
         whose entry was evicted or corrupted is simply recomputed.
     workers:
-        As in :func:`~repro.utils.parallel.parallel_map`.
+        As in :func:`~repro.utils.parallel.parallel_map`: ``None`` uses
+        every usable CPU, ``1`` (default) runs in-process.  The pool is
+        joined before each round ends.
     retries:
-        Extra execution rounds for failed tasks before giving up.
+        Extra execution rounds for failed tasks (a task that raised, or
+        whose pool worker died) before giving up.
     backoff:
         Base delay (seconds) before retry round ``k``, growing as
         ``backoff * 2**(k-1)`` — a deterministic, jitter-free schedule
@@ -270,25 +354,26 @@ def run_tasks(
                 blocks[-1].append(item)
             else:
                 blocks.append([item])
+        pool = pool_size(workers, len(blocks))
         outcome = parallel_map(
             _run_block,
-            blocks,
-            workers=workers,
+            [_Block(pool > 1, begin is not None, emit is not None, b) for b in blocks],
+            workers=pool,
             progress=recorder,
-            return_exceptions=True,
         )
         failures = []
         pending = []
         for block, ran in zip(blocks, outcome, strict=True):
             if isinstance(ran, TaskFailure):
-                # The whole block failed together; every member is
-                # retried on its own in the next round.
+                # The whole block failed together (it raised, or its
+                # worker died); every member is retried on its own in
+                # the next round, in a fresh pool.
                 failures += [
                     TaskFailure(i, ran.error, ran.traceback_str) for i, _ in block
                 ]
                 pending += block
             else:
-                for index, result in ran:
+                for index, result in ran.pairs:
                     results[index] = result
         if h_exec is not None:
             h_exec.end(attempt=attempt, tasks=n_round, failures=len(failures))

@@ -3,40 +3,49 @@
 The simulation experiments in Sec. 5 of the paper average 30 independent
 runs per ``(rho, p)`` grid point; those runs share nothing, so a process
 pool is the right tool.  This module wraps
-:class:`concurrent.futures.ProcessPoolExecutor` with the conventions the
-rest of the library relies on:
+:class:`concurrent.futures.ProcessPoolExecutor` for its one caller,
+:func:`repro.store.scheduler.run_tasks`, whose items are replication
+blocks:
 
-* **serial fallback** — ``workers=1`` (or tiny workloads) runs in-process,
-  which keeps tests debuggable and avoids fork overhead for small grids;
+* **serial fallback** — ``workers=1``, a single usable CPU, or fewer
+  than :data:`MIN_PARALLEL` items run in-process, which keeps tests
+  debuggable and avoids fork overhead for small lists;
 * **deterministic ordering** — results always come back in input order,
   whatever the completion order was;
-* **chunking** — tasks are submitted in contiguous chunks to amortize
-  pickling, following the mpi4py/HPC guidance of communicating few large
-  messages rather than many small ones;
+* **chunking** — items are submitted in contiguous chunks, about
+  :data:`CHUNKS_PER_WORKER` per worker, to amortize pickling, following
+  the mpi4py/HPC guidance of communicating few large messages rather
+  than many small ones;
 * **per-task error capture** — an exception in one task never discards
-  its siblings' results.  Failures are recorded as :class:`TaskFailure`
-  (input index, exception, traceback) and either raised together as one
-  :class:`~repro.errors.ParallelExecutionError` naming the failed
-  indices (default) or returned in-place when
-  ``return_exceptions=True`` — the retry path of
-  :mod:`repro.store.scheduler` relies on the latter.
+  its siblings' results: it becomes a :class:`TaskFailure` (input index,
+  exception, traceback) at the task's input position.  So does every
+  task of a chunk whose worker died (an OOM kill, a signal), which the
+  pool reports as :class:`~concurrent.futures.BrokenExecutor`; the
+  scheduler's retry round runs them again in a fresh pool.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from repro.errors import ParallelExecutionError
 from repro.utils.validation import check_positive_int
 
-__all__ = ["parallel_map", "default_workers", "TaskFailure"]
+__all__ = ["parallel_map", "pool_size", "default_workers", "TaskFailure"]
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: Work lists shorter than this run in-process: pool startup would
+#: dominate.
+MIN_PARALLEL = 4
+
+#: Chunks submitted per worker: a few each, so a worker that drew cheap
+#: items takes more (dynamic load balancing without per-item dispatch).
+CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,8 @@ class TaskFailure:
         Position of the failed task in the *input* work list.
     error:
         The exception the task raised (picklable exceptions survive the
-        pool boundary verbatim).
+        pool boundary verbatim), or the pool's ``BrokenExecutor`` when
+        the worker running it died.
     traceback_str:
         The worker-side formatted traceback, for diagnostics — the
         original traceback object cannot cross process boundaries.
@@ -64,17 +74,29 @@ class TaskFailure:
 
 
 def default_workers() -> int:
-    """A conservative default worker count: usable CPUs minus one.
+    """The worker count ``workers=None`` resolves to: the usable CPUs.
 
     Usable CPUs are the process's affinity set where the platform
     exposes it: in a cpuset-limited container ``os.cpu_count()`` counts
-    the host's CPUs, and a pool that size would oversubscribe.
+    the host's CPUs, and a pool that size would oversubscribe.  No CPU
+    is held back for the parent: while the pool computes, the scheduler
+    only keys, persists and journals (~6 % of a cold sweep).
     """
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # pragma: no cover - macOS / Windows
-        cpus = os.cpu_count() or 2
-    return max(1, cpus - 1)
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1  # pragma: no cover - macOS / Windows
+
+
+def pool_size(workers: int | None, n_items: int) -> int:
+    """The processes :func:`parallel_map` runs ``n_items`` items on.
+
+    ``None`` resolves through :func:`default_workers`; ``1`` means
+    in-process, as does any list shorter than :data:`MIN_PARALLEL`.
+    """
+    if workers is None:
+        workers = default_workers()
+    workers = check_positive_int("workers", workers)
+    return 1 if n_items < MIN_PARALLEL else workers
 
 
 def _run_chunk(
@@ -94,112 +116,77 @@ def _run_chunk(
     return out
 
 
-def _finalize(
-    results: list[Union[R, TaskFailure]], return_exceptions: bool
-) -> list[Union[R, TaskFailure]]:
-    """Raise a structured error for captured failures unless asked not to."""
-    if return_exceptions:
-        return results
-    failures = tuple(r for r in results if isinstance(r, TaskFailure))
-    if failures:
-        indices = ", ".join(str(f.index) for f in failures[:10])
-        more = "" if len(failures) <= 10 else f" (+{len(failures) - 10} more)"
-        raise ParallelExecutionError(
-            f"{len(failures)}/{len(results)} task(s) failed at indices "
-            f"[{indices}]{more}; first: {failures[0]}",
-            failures,
-        ) from failures[0].error
-    return results
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     *,
     workers: int | None = None,
-    chunk_size: int | None = None,
-    min_parallel: int = 4,
-    progress: Callable[[int, int, Sequence[Union[R, TaskFailure]]], None] | None = None,
-    return_exceptions: bool = False,
+    progress: Callable[[int, int, Sequence[Union[R, TaskFailure]]], None],
 ) -> list[Union[R, TaskFailure]]:
     """Apply ``fn`` to every item, optionally across worker processes.
 
     Parameters
     ----------
     fn:
-        A picklable callable (top-level function or partial of one).
+        A picklable callable (a top-level function).
     items:
         The work list; it is materialized once so results can be returned
         in input order.
     workers:
         Process count.  ``None`` uses :func:`default_workers`; ``1`` forces
-        the serial path.
-    chunk_size:
-        Items per submitted task.  ``None`` picks ``ceil(len/ (4*workers))``
-        so each worker sees a few chunks (dynamic load balancing without
-        per-item dispatch overhead).
-    min_parallel:
-        Work lists shorter than this run serially regardless of ``workers``;
-        pool startup would dominate.
+        the serial path (see :func:`pool_size`).  The pool is joined
+        before the call returns.
     progress:
-        Optional ``progress(done, total, chunk_results)`` hook, called in
-        the parent process after each item (serial path) or each finished
+        ``progress(done, total, chunk_results)`` hook, called in the
+        parent process after each item (serial path) or each finished
         chunk (pool path), in *completion* order.  Chunk results may
         contain :class:`TaskFailure` records.  The returned list is
         still in input order.
-    return_exceptions:
-        If true, a task that raises contributes a :class:`TaskFailure`
-        at its input position instead of aborting the call; every
-        sibling result is preserved.  If false (default), all tasks
-        still run to completion, then one
-        :class:`~repro.errors.ParallelExecutionError` reports every
-        failed index.
 
     Returns
     -------
     list
-        ``[fn(x) for x in items]`` in input order (with
-        :class:`TaskFailure` placeholders when ``return_exceptions``).
+        ``[fn(x) for x in items]`` in input order, with a
+        :class:`TaskFailure` at the position of every task that raised
+        or whose worker died; every sibling result is preserved.
     """
     work = list(items)
-    if workers is None:
-        workers = default_workers()
-    workers = check_positive_int("workers", workers)
-    if workers == 1 or len(work) < max(min_parallel, 2):
+    workers = pool_size(workers, len(work))
+    if workers == 1:
         results: list[Union[R, TaskFailure]] = []
         for i, item in enumerate(work):
             try:
                 results.append(fn(item))
             except Exception as exc:  # deliberate: captured, never swallowed
                 results.append(TaskFailure(i, exc, traceback.format_exc()))
-            if progress is not None:
-                progress(len(results), len(work), results[-1:])
-        return _finalize(results, return_exceptions)
+            progress(len(results), len(work), results[-1:])
+        return results
 
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(work) // (4 * workers)))
-    chunk_size = check_positive_int("chunk_size", chunk_size)
-    starts = list(range(0, len(work), chunk_size))
+    chunk_size = -(-len(work) // (CHUNKS_PER_WORKER * workers))
+    starts = range(0, len(work), chunk_size)
     chunks = [work[s : s + chunk_size] for s in starts]
-
+    parts: list[list[Union[R, TaskFailure]]] = [[] for _ in chunks]
+    done = 0
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        if progress is None:
-            pooled: list[Union[R, TaskFailure]] = []
-            for part in pool.map(_run_chunk, [fn] * len(chunks), chunks, starts):
-                pooled.extend(part)
-            return _finalize(pooled, return_exceptions)
         # submit/as_completed so the hook fires as chunks finish, not in
         # input order; parts are reassembled positionally afterwards.
         futures = {
             pool.submit(_run_chunk, fn, chunk, start): i
             for i, (chunk, start) in enumerate(zip(chunks, starts, strict=True))
         }
-        parts: list[list[Union[R, TaskFailure]] | None] = [None] * len(chunks)
-        done = 0
         for fut in as_completed(futures):
-            part = fut.result()
-            parts[futures[fut]] = part
+            i = futures[fut]
+            try:
+                part = fut.result()
+            except BrokenExecutor as exc:
+                # A worker died: the pool fails this chunk (and every
+                # chunk still pending) as a whole.
+                trace = traceback.format_exc()
+                part = [
+                    TaskFailure(starts[i] + k, exc, trace)
+                    for k in range(len(chunks[i]))
+                ]
+            parts[i] = part
             done += len(part)
             progress(done, len(work), part)
-    flat = [r for part in parts for r in part]  # type: ignore[union-attr]
-    return _finalize(flat, return_exceptions)
+    return [r for part in parts for r in part]

@@ -123,13 +123,6 @@ class TestRunControls:
         with pytest.raises(SimulationError, match="re-entrant"):
             sim.run()
 
-    def test_events_executed_counter(self):
-        sim = Simulator()
-        for _ in range(3):
-            sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.events_executed == 3
-
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 

@@ -79,12 +79,6 @@ class TestDerived:
         dep = DiskDeployment(positions=pos, radius=1.0, n_rings=3)
         assert list(dep.ring_indices()) == [1, 1, 2, 3]
 
-    def test_empirical_rho_close_to_target(self, rng):
-        dep = DiskDeployment.sample(rho=40, n_rings=5, rng=rng)
-        # Border effects bias the mean degree down a little.
-        assert dep.empirical_rho() == pytest.approx(40, rel=0.25)
-        assert dep.empirical_rho() < 40
-
     def test_topology_radius_matches(self, rng):
         dep = DiskDeployment.sample(rho=15, n_rings=2, radius=2.0, rng=rng)
         topo = dep.topology()

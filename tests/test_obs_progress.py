@@ -75,14 +75,9 @@ class TestParallelMapHook:
             seen["done"] = max(seen["done"], done)
             assert total == 20
 
-        out = parallel_map(
-            _square, list(range(20)), workers=2, chunk_size=3, progress=hook
-        )
+        out = parallel_map(_square, list(range(20)), workers=2, progress=hook)
         assert out == [i * i for i in range(20)]
         assert seen["done"] == 20
-
-    def test_no_hook_unchanged(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
 
 
 def _square(x):

@@ -10,6 +10,10 @@ stream per replication, and progress accounting stays in run units.
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -109,6 +113,27 @@ class TestSweepGridBlocks:
             assert_runs_identical(alone, a[(15.0, p)])
 
 
+class _ExitOnceInWorker(ProbabilisticRelay):
+    """Kills the first pool worker that runs it (a stand-in for an OOM
+    kill); in the parent, and once the marker file exists, it is
+    :class:`ProbabilisticRelay` (same repr, so the same store keys)."""
+
+    def __init__(self, p, *, marker, home):
+        super().__init__(p)
+        self.marker = str(marker)
+        self.home = home
+
+    def schedule(self, new_nodes, first_senders, rng, ctx):
+        if os.getpid() != self.home:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return super().schedule(new_nodes, first_senders, rng, ctx)
+
+
 class TestPooledDispatch:
     """Two workers fork a pool once a task list has 4 or more blocks:
     2 rho x 2 p x 3 replications make 4 blocks of 3."""
@@ -127,6 +152,31 @@ class TestPooledDispatch:
                 cfg, [15.0, 20.0], [0.4, 0.8], 3, SEED, workers=2, store=tmp_path / "s"
             )
         assert sum(s.counters["misses"] for s in buf.named("store.lookup")) == 12
+        for point in serial:
+            assert_runs_identical(serial[point], pooled[point])
+
+    def test_killed_worker_costs_a_retry(self, cfg, tmp_path):
+        """A worker that dies breaks the pool; the tasks it took down run
+        again in the next round, in a fresh pool, and the sweep equals
+        an in-process one."""
+        rhos, ps = [15.0, 20.0], [0.2, 0.4, 0.6, 0.9]
+        serial = sweep_grid(cfg, rhos, ps, 2, SEED, workers=1)
+        factory = functools.partial(
+            _ExitOnceInWorker, marker=tmp_path / "died", home=os.getpid()
+        )
+        with capture_spans() as buf:
+            pooled = sweep_grid(
+                cfg, rhos, ps, 2, SEED, workers=2, policy_factory=factory,
+                store=tmp_path / "s",
+            )
+        assert (tmp_path / "died").exists()
+        rounds = buf.named("store.execute")
+        assert [r.counters["attempt"] for r in rounds] == [0, 1]
+        assert rounds[0].counters["failures"] > 0
+        assert rounds[1].counters["failures"] == 0
+        assert len(list((tmp_path / "s" / "objects").rglob("*.json"))) == 16
+        assert multiprocessing.active_children() == []
+        assert serial.keys() == pooled.keys()
         for point in serial:
             assert_runs_identical(serial[point], pooled[point])
 
